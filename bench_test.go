@@ -234,6 +234,59 @@ func BenchmarkBottleneckUnion(b *testing.B) {
 	}
 }
 
+// BenchmarkBottleneckTables measures the fitness service's table kernel
+// on its dominant input, the §4.1 pair experiments, at the port counts
+// of A72, SKL and ZEN (7, 9, 10). Tables are built outside the timed
+// loop, as the engine caches them per decomposition.
+func BenchmarkBottleneckTables(b *testing.B) {
+	for _, ports := range []int{7, 9, 10} {
+		work := pairTableWorkload(ports)
+		b.Run(benchName("Pairs", ports), func(b *testing.B) {
+			var ev throughput.Evaluator
+			for i := 0; b.Loop(); i++ {
+				ev.BottleneckTables(work[i%len(work)], ports)
+			}
+		})
+	}
+}
+
+// pairTableWorkload returns the pair and weighted-pair experiments that
+// exp.PairExperiments derives from a hidden mapping's individual
+// throughputs, as table parts over a bloated candidate mapping: every
+// instruction carries |P| distinct µops, the paper's initialization
+// bound (MaxUops = |P|) at its maximum.
+func pairTableWorkload(ports int) [][]throughput.TablePart {
+	const numInsts = 24
+	rng := rand.New(rand.NewSource(int64(ports)))
+	hint := make([]float64, numInsts)
+	for i := range hint {
+		hint[i] = 0.25 + 3.75*rng.Float64()
+	}
+	hidden := portmap.Random(rng, portmap.RandomOptions{NumInsts: numInsts, NumPorts: ports, ThroughputHint: hint})
+	individual := make([]float64, numInsts)
+	for i := range individual {
+		individual[i] = throughput.OfExperiment(hidden, portmap.Experiment{{Inst: i, Count: 1}})
+	}
+	cand := portmap.Random(rng, portmap.RandomOptions{NumInsts: numInsts, NumPorts: ports, ThroughputHint: hint})
+	tables := make([]throughput.UnitTable, numInsts)
+	for i := range tables {
+		for len(cand.Decomp[i]) < ports {
+			u := portmap.RandomPortSet(rng, ports)
+			cand.AddUop(i, u, 1+rng.Intn(1+int(hint[i]*float64(u.Count()))))
+		}
+		throughput.BuildUnitTable(&tables[i], cand.Decomp[i], ports)
+	}
+	var work [][]throughput.TablePart
+	for _, e := range exp.PairExperiments(individual) {
+		parts := make([]throughput.TablePart, len(e))
+		for j, t := range e {
+			parts[j] = throughput.TablePart{Unit: &tables[t.Inst], Scale: float64(t.Count)}
+		}
+		work = append(work, parts)
+	}
+	return work
+}
+
 // --- Memoized + incremental fitness evaluation ------------------------
 
 // BenchmarkFitnessEvolution measures the population fitness loop at

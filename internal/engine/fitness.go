@@ -195,28 +195,21 @@ type Service struct {
 	missesAtGrow atomic.Int64
 }
 
-// maxTableFastPorts gates the per-instruction subset-sum-table fast
-// path: tables have 2^|P| entries per instruction, so the path is
-// restricted to realistic port counts (the paper's machines have ≤ 10).
-// Wider mappings fall back to the pre-flattened-terms path.
-const maxTableFastPorts = 11
-
 // evalScratch is one worker's reusable evaluation state: the throughput
 // evaluator plus per-instruction derived data — subset-sum unit tables
-// and pre-flattened unit mass terms — keyed by decomposition
-// fingerprint, so they are (re)built only when an instruction's
-// decomposition actually differs from the one last seen by this worker.
-// Experiments sharing an instruction reuse them within a candidate, and
-// candidates sharing decompositions reuse them across the batch.
+// with their per-cardinality maxima, and pre-flattened unit mass terms —
+// keyed by decomposition fingerprint, so they are (re)built only when an
+// instruction's decomposition actually differs from the one last seen by
+// this worker. Experiments sharing an instruction reuse them within a
+// candidate, and candidates sharing decompositions reuse them across the
+// batch.
 type evalScratch struct {
 	ev throughput.Evaluator
 
-	k       int      // port count the tables are built for
-	tblFp   []uint64 // fingerprint each table was built from (0: none)
-	tblUsed []portmap.PortSet
-	tblInf  []bool
-	tables  [][]float64
-	tparts  []throughput.TablePart
+	k      int      // port count the tables are built for
+	tblFp  []uint64 // fingerprint each table was built from (0: none)
+	tables []throughput.UnitTable
+	tparts []throughput.TablePart
 
 	unitFp []uint64 // fingerprint each unit-term list was built from
 	unit   [][]portmap.MassTerm
@@ -232,9 +225,7 @@ type evalScratch struct {
 func (sc *evalScratch) ensure(numInsts, numPorts int) {
 	if len(sc.tblFp) < numInsts {
 		sc.tblFp = make([]uint64, numInsts)
-		sc.tblUsed = make([]portmap.PortSet, numInsts)
-		sc.tblInf = make([]bool, numInsts)
-		sc.tables = make([][]float64, numInsts)
+		sc.tables = make([]throughput.UnitTable, numInsts)
 		sc.unitFp = make([]uint64, numInsts)
 		sc.unit = make([][]portmap.MassTerm, numInsts)
 	}
@@ -244,25 +235,15 @@ func (sc *evalScratch) ensure(numInsts, numPorts int) {
 	}
 }
 
-// tableFor returns instruction inst's unit subset-sum table under m (as
-// a ready TablePart minus the scale), rebuilding it only if the cached
-// table was built from a different decomposition.
-func (sc *evalScratch) tableFor(m *portmap.Mapping, inst, size int) throughput.TablePart {
-	fp := m.Fingerprint(inst)
-	if sc.tblFp[inst] == fp {
-		return throughput.TablePart{Table: sc.tables[inst], Used: sc.tblUsed[inst], Inf: sc.tblInf[inst]}
+// tableFor returns instruction inst's unit table under m, rebuilding it
+// only if the cached table was built from a different decomposition.
+func (sc *evalScratch) tableFor(m *portmap.Mapping, inst int) *throughput.UnitTable {
+	t := &sc.tables[inst]
+	if fp := m.Fingerprint(inst); sc.tblFp[inst] != fp {
+		throughput.BuildUnitTable(t, m.Decomp[inst], sc.k)
+		sc.tblFp[inst] = fp
 	}
-	t := sc.tables[inst]
-	if cap(t) < size {
-		t = make([]float64, size)
-	}
-	t = t[:size]
-	used, inf := throughput.BuildUnitTable(t, m.Decomp[inst], sc.k)
-	sc.tables[inst] = t
-	sc.tblFp[inst] = fp
-	sc.tblUsed[inst] = used
-	sc.tblInf[inst] = inf
-	return throughput.TablePart{Table: t, Used: used, Inf: inf}
+	return t
 }
 
 // unitFor returns instruction inst's pre-flattened unit mass terms (its
@@ -554,13 +535,10 @@ func (s *Service) predictOne(sc *evalScratch, t *memoTable, m *portmap.Mapping, 
 	}
 	sc.miss++
 	var v float64
-	if m.NumPorts <= maxTableFastPorts {
-		size := 1 << uint(m.NumPorts)
+	if m.NumPorts <= throughput.MaxUnitTablePorts {
 		sc.tparts = sc.tparts[:0]
 		for _, t := range s.experiment(i) {
-			part := sc.tableFor(m, t.Inst, size)
-			part.Scale = float64(t.Count)
-			sc.tparts = append(sc.tparts, part)
+			sc.tparts = append(sc.tparts, throughput.TablePart{Unit: sc.tableFor(m, t.Inst), Scale: float64(t.Count)})
 		}
 		v = sc.ev.BottleneckTables(sc.tparts, m.NumPorts)
 	} else {

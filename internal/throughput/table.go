@@ -8,180 +8,232 @@ import (
 	"pmevo/internal/portmap"
 )
 
-// Per-instruction subset-sum tables.
+// Per-instruction subset-sum tables and the bound-and-prune kernel.
 //
 // The subset-sum (zeta) transform at the heart of the bottleneck
 // algorithm is linear in the µop masses, and an experiment's masses are
 // a non-negative integer combination of its instructions' unit masses:
 //
-//	sums_e[Q] = Σ_i e(i) · T_i[Q],  T_i[Q] = Σ{n | (i,n,u) ∈ N, u ⊆ Q}
+//	S[Q] = Σ_i s_i · T_i[Q],  T_i[Q] = Σ{n | (i,n,u) ∈ N, u ⊆ Q}
 //
 // so a caller evaluating many experiments over one mapping can zeta-
-// transform each instruction once and reduce every experiment to a
-// scaled sum of tables plus the max-ratio scan — no per-experiment
-// flatten, merge, or transform. This is the engine fitness service's
-// fast path: §4.1 experiments touch 1–2 instructions each, while each
-// instruction occurs in O(#instructions) experiments.
+// transform each instruction once and reduce every experiment to the
+// max-ratio search over scaled table sums — no per-experiment flatten,
+// merge, or transform. This is the engine fitness service's fast path:
+// §4.1 experiments touch 1–2 instructions each, while each instruction
+// occurs in O(#instructions) experiments.
+//
+// The search is a branch-and-bound over cardinality classes instead of
+// a scan of all 2^k subsets. Every S[Q] with |Q| = c is at most
+//
+//	B[c] = Σ_i s_i · M_i[c],  M_i[c] = max{T_i[Q] : |Q| = c}
+//
+// and BuildUnitTable records M_i beside T_i. The kernel seeds the best
+// ratio with that of the used-port union U (S[U] is the total mass),
+// then visits the classes in decreasing order of their bound B[c]/c,
+// scanning each through a popcount-grouped subset index, and stops at
+// the first class whose bound does not beat the best ratio found so
+// far. Classes with c ≥ |U| never need a visit: their ratios are at
+// most S[U]/c. A single instruction attains its bound in every class,
+// so single-instruction experiments cost O(k) without any scan.
 //
 // Bit-exactness: experiment counts and µop counts are integers, so every
-// deposit, zeta addition, table scaling, and table sum is exact integer
-// arithmetic in float64 (far below 2^53). Any association of these
-// operations — per-experiment transform or per-instruction tables —
-// yields identical bits, and the final max of sums[Q]/|Q| is a maximum
-// of identical division results. The equivalence with ThroughputOf is
-// property-tested. Callers with non-integral masses must use the
-// per-experiment entry points instead.
+// table entry, scaled sum, and bound is exact integer arithmetic in
+// float64 (far below 2^53) under any association. Correctly rounded
+// division is monotone, so S[Q] ≤ B[c] gives fl(S[Q]/c) ≤ fl(B[c]/c):
+// a pruned class can never hold a strictly larger ratio, and the
+// maximum found is the same float a full scan finds. Subsets reaching
+// outside U are dominated duplicates (S[Q] = S[Q∩U] with |Q| larger), so
+// scanning whole classes of the k-port universe changes nothing either.
+// The equivalence with ThroughputOf and BottleneckNaive is
+// property-tested and fuzzed. Callers with non-integral masses or
+// scales must use the per-experiment entry points instead.
+
+// MaxUnitTablePorts bounds the port count of unit tables: a table holds
+// 2^k entries per instruction, and the kernel's subset index is built
+// for every k up to this limit (4095 entries in all). The paper's
+// machines have at most 10 ports.
+const MaxUnitTablePorts = 11
+
+// UnitTable is one instruction's subset-sum table over ports 0..k-1
+// together with the per-cardinality maxima the kernel bounds with.
+type UnitTable struct {
+	// Sums[Q] is the instruction's µop count on port subset Q: the sum
+	// of the counts of its µops whose port sets lie within Q. It has
+	// 1<<k entries.
+	Sums []float64
+	// Max[c] is the largest Sums[Q] over the subsets with |Q| = c.
+	Max [MaxUnitTablePorts + 1]float64
+	// Used is the union of the port sets of the instruction's µops.
+	Used portmap.PortSet
+	// Inf marks a µop on an empty port set: the instruction can never
+	// execute, so any experiment containing it has throughput +Inf.
+	Inf bool
+}
 
 // TablePart is one instruction's contribution to an experiment in
 // subset-sum-table form: the instruction's unit table and the
 // experiment's multiplicity for it.
 type TablePart struct {
-	Table []float64
+	Unit  *UnitTable
 	Scale float64
-	// Used is the union of the instruction's µop port sets; the
-	// max-ratio scan only needs subsets of the experiment's combined
-	// union (every other Q is a dominated duplicate).
-	Used portmap.PortSet
-	// Inf marks an instruction with a µop on an empty port set: it can
-	// never execute, so any experiment containing it has throughput +Inf.
-	Inf bool
 }
 
-// BuildUnitTable fills dst (length 1<<k) with the subset-sum table of
-// the decomposition's unit masses over ports 0..k-1. It returns the
-// union of the occurring port sets and whether the decomposition
-// contains an executable-nowhere µop (see TablePart fields). Every
-// µop's port set must lie within 0..k-1.
-func BuildUnitTable(dst []float64, uops []portmap.UopCount, k int) (used portmap.PortSet, inf bool) {
-	if k > maxTablePorts {
-		panic(fmt.Sprintf("throughput: %d ports exceed the %d-port bottleneck table limit", k, maxTablePorts))
+// BuildUnitTable fills t with the subset-sum table of the
+// decomposition's unit masses over ports 0..k-1 and its per-cardinality
+// maxima, reusing t.Sums' storage when it is large enough. Every µop's
+// port set must lie within 0..k-1.
+func BuildUnitTable(t *UnitTable, uops []portmap.UopCount, k int) {
+	if k > MaxUnitTablePorts {
+		panic(fmt.Sprintf("throughput: %d ports exceed the %d-port unit table limit", k, MaxUnitTablePorts))
 	}
 	size := 1 << uint(k)
-	dst = dst[:size]
-	clear(dst)
+	if cap(t.Sums) < size {
+		t.Sums = make([]float64, size)
+	}
+	sums := t.Sums[:size]
+	clear(sums)
+	t.Sums, t.Used, t.Inf = sums, 0, false
 	for _, uc := range uops {
-		if uc.Ports.IsEmpty() {
-			if uc.Count != 0 {
-				inf = true
-			}
+		if uc.Count == 0 {
 			continue
 		}
-		used |= uc.Ports
-		dst[uc.Ports] += float64(uc.Count)
+		if uc.Ports.IsEmpty() {
+			t.Inf = true
+			continue
+		}
+		t.Used |= uc.Ports
+		sums[uc.Ports] += float64(uc.Count)
 	}
-	zetaTransform(dst, k)
-	return used, inf
+	zetaTransform(sums, k)
+	t.Max = [MaxUnitTablePorts + 1]float64{}
+	idx := &subsetIndex[k]
+	for c := 0; c <= k; c++ {
+		m := 0.0
+		for _, q := range idx.class(c) {
+			if v := sums[q]; v > m {
+				m = v
+			}
+		}
+		t.Max[c] = m
+	}
 }
 
 // BottleneckTables computes the throughput of the experiment described
-// by parts — each a pre-transformed unit table with a multiplicity —
-// over ports 0..k-1. Tables must have been built with BuildUnitTable at
-// the same k. With integral unit masses and scales the result is
-// bit-identical to ThroughputOf on the equivalent mapping/experiment
-// pair.
+// by parts over ports 0..k-1. Tables must have been built with
+// BuildUnitTable at the same k, and scales must be non-negative
+// integers. The result is bit-identical to ThroughputOf on the
+// equivalent mapping/experiment pair.
 func (ev *Evaluator) BottleneckTables(parts []TablePart, k int) float64 {
-	size := 1 << uint(k)
-	var a, b *TablePart
-	live := 0
-	for i := range parts {
-		p := &parts[i]
+	live := ev.live[:0]
+	var used portmap.PortSet
+	for _, p := range parts {
 		if p.Scale == 0 {
 			continue
 		}
-		if p.Inf {
+		if p.Unit.Inf {
 			return math.Inf(1)
 		}
-		switch live {
-		case 0:
-			a = p
-		case 1:
-			b = p
-		}
-		live++
+		used |= p.Unit.Used
+		live = append(live, p)
 	}
-	switch live {
-	case 0:
+	ev.live = live
+	n := used.Count()
+	if n == 0 {
 		return 0
-	case 1:
-		return maxRatioScaled1(a.Table[:size], a.Scale, a.Used)
-	case 2:
-		return maxRatioScaled2(a.Table[:size], b.Table[:size], a.Scale, b.Scale, a.Used|b.Used)
 	}
-	if cap(ev.sums) < size {
-		ev.sums = make([]float64, size)
-	}
-	sums := ev.sums[:size]
-	clear(sums)
-	used := portmap.PortSet(0)
-	for i := range parts {
-		p := &parts[i]
-		if p.Scale == 0 {
-			continue
+
+	// bound[c] bounds the ratios of class c; classes c ≥ n are bounded
+	// by the seed, the ratio of the used union itself (its sum is the
+	// total mass, Max[k]).
+	var bound [MaxUnitTablePorts + 1]float64
+	for c := 1; c < n; c++ {
+		b := 0.0
+		for _, p := range live {
+			b += p.Scale * p.Unit.Max[c]
 		}
-		used |= p.Used
-		t := p.Table[:size]
-		for q := range sums {
-			sums[q] += p.Scale * t[q]
+		bound[c] = b / float64(c)
+	}
+	total := 0.0
+	for _, p := range live {
+		total += p.Scale * p.Unit.Max[k]
+	}
+	best := total / float64(n)
+
+	// Visit the class with the largest bound above best until none is
+	// left; a visited class's bound is cleared.
+	idx := &subsetIndex[k]
+	for {
+		c, top := 0, best
+		for j := 1; j < n; j++ {
+			if bound[j] > top {
+				c, top = j, bound[j]
+			}
+		}
+		if c == 0 {
+			return best
+		}
+		bound[c] = 0
+		// One live part attains its bound; more need a scan.
+		if len(live) > 1 {
+			top = classMax(live, idx.class(c)) / float64(c)
+		}
+		if top > best {
+			best = top
 		}
 	}
-	return maxRatioScaled1(sums, 1, used)
 }
 
-// maxRatioScaled1 returns max over non-empty Q ⊆ used of s·t[Q]/|Q|.
-// Restricting Q to the used-port union is exact: for any other Q,
-// t[Q] = t[Q∩used] with |Q| larger, a dominated duplicate. Divisions are
-// hoisted per cardinality class as in bottleneckTable. When the union
-// covers the whole table, a linear scan replaces the subset-enumeration
-// chain (whose q → (q-1)&u recurrence is a serial dependency).
-func maxRatioScaled1(t []float64, s float64, used portmap.PortSet) float64 {
-	var maxSum [maxTablePorts + 1]float64
-	u := uint64(used)
-	if int(u) == len(t)-1 {
-		for q := 1; q < len(t); q++ {
-			if v := s * t[q]; v > maxSum[bits.OnesCount(uint(q))] {
-				maxSum[bits.OnesCount(uint(q))] = v
-			}
+// classMax returns the largest scaled table sum Σ s·Sums[q] over the
+// subsets q of one cardinality class; live holds at least two parts.
+func classMax(live []TablePart, class []uint16) float64 {
+	a, sa := live[0].Unit.Sums, live[0].Scale
+	b, sb := live[1].Unit.Sums, live[1].Scale
+	rest := live[2:]
+	m := 0.0
+	for _, q := range class {
+		v := sa*a[q] + sb*b[q]
+		for _, p := range rest {
+			v += p.Scale * p.Unit.Sums[q]
 		}
-	} else {
-		for q := u; q != 0; q = (q - 1) & u {
-			if v := s * t[q]; v > maxSum[bits.OnesCount64(q)] {
-				maxSum[bits.OnesCount64(q)] = v
-			}
+		if v > m {
+			m = v
 		}
 	}
-	return divideMaxima(&maxSum, used.Count())
+	return m
 }
 
-// maxRatioScaled2 is the fused two-instruction case (the §4.1 pair
-// experiments): max over non-empty Q ⊆ used of (sa·a[Q] + sb·b[Q])/|Q|.
-func maxRatioScaled2(a, b []float64, sa, sb float64, used portmap.PortSet) float64 {
-	var maxSum [maxTablePorts + 1]float64
-	u := uint64(used)
-	if int(u) == len(a)-1 {
-		b = b[:len(a)]
-		for q := 1; q < len(a); q++ {
-			if v := sa*a[q] + sb*b[q]; v > maxSum[bits.OnesCount(uint(q))] {
-				maxSum[bits.OnesCount(uint(q))] = v
-			}
-		}
-	} else {
-		for q := u; q != 0; q = (q - 1) & u {
-			if v := sa*a[q] + sb*b[q]; v > maxSum[bits.OnesCount64(q)] {
-				maxSum[bits.OnesCount64(q)] = v
-			}
-		}
-	}
-	return divideMaxima(&maxSum, used.Count())
+// classIndex lists the subsets of ports 0..k-1 grouped by cardinality:
+// class c is subsets[start[c]:start[c+1]], in increasing order.
+type classIndex struct {
+	subsets []uint16
+	start   [MaxUnitTablePorts + 2]int
 }
 
-func divideMaxima(maxSum *[maxTablePorts + 1]float64, k int) float64 {
-	best := 0.0
-	for c := 1; c <= k; c++ {
-		if maxSum[c] > 0 {
-			if v := maxSum[c] / float64(c); v > best {
-				best = v
-			}
+func (x *classIndex) class(c int) []uint16 { return x.subsets[x.start[c]:x.start[c+1]] }
+
+// subsetIndex[k] is the class index over k ports, built once at package
+// initialization and read-only afterwards.
+var subsetIndex = buildSubsetIndexes()
+
+func buildSubsetIndexes() (out [MaxUnitTablePorts + 1]classIndex) {
+	for k := range out {
+		x := &out[k]
+		size := 1 << uint(k)
+		var count [MaxUnitTablePorts + 1]int
+		for q := 0; q < size; q++ {
+			count[bits.OnesCount(uint(q))]++
+		}
+		for c := 0; c <= k; c++ {
+			x.start[c+1] = x.start[c] + count[c]
+		}
+		next := x.start
+		x.subsets = make([]uint16, size)
+		for q := 0; q < size; q++ {
+			c := bits.OnesCount(uint(q))
+			x.subsets[next[c]] = uint16(q)
+			next[c]++
 		}
 	}
-	return best
+	return out
 }

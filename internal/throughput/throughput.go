@@ -21,8 +21,22 @@
 // asymptotically independent of the port count; we use it as an ablation
 // of the paper's design choice.
 //
+// The fitness service evaluates experiments through BottleneckTables,
+// a bound-and-prune kernel over per-instruction subset-sum tables
+// (table.go). BuildUnitTable zeta-transforms each instruction once and
+// records the table's maximum in every cardinality class; an
+// experiment's sums are then scaled table sums, and the kernel scans a
+// class of equal-size subsets only if the scaled class maxima, divided
+// by the class size, still beat the best ratio found so far. Most
+// classes are pruned, and a single instruction needs no scan at all.
+// The kernel is exact, not approximate: fitness masses and scales are
+// integers, so every sum and bound is exact in float64, and correctly
+// rounded division is monotone, so a pruned class cannot hold a larger
+// ratio. Its result is bit-identical to ThroughputOf.
+//
 // All engines agree exactly (up to floating-point association); this is
-// property-tested against each other and against the LP.
+// property-tested against each other and against the LP, and the table
+// kernel is also fuzzed against BottleneckNaive.
 package throughput
 
 import (
@@ -61,6 +75,7 @@ type Evaluator struct {
 	flat  []portmap.MassTerm
 	masks []maskMass
 	midx  map[portmap.PortSet]int32 // reusable index for wide merges
+	live  []TablePart               // BottleneckTables' non-zero parts
 }
 
 type maskMass struct {
@@ -304,19 +319,62 @@ func (ev *Evaluator) BottleneckTable(terms []portmap.MassTerm) float64 {
 
 // zetaTransform applies the subset-sum (zeta) transform in place:
 // afterwards sums[Q] = Σ{sums_before[u] | u ⊆ Q} (len(sums) must be
-// 1<<k). Each pass only writes entries whose b-th bit is set and only
-// reads entries with it clear, so the additions are independent and run
-// over the contiguous upper half of each 2·bit block branch-free —
-// bit-identical to the naive q-loop, at about half the iterations. Both
+// 1<<k). It performs exactly the additions of the textbook loop — pass
+// b adds sums[Q^bit] into sums[Q] for every Q with bit b set, for
+// b = 0..k-1 — with the same operands in the same order per entry, so
+// it is bit-identical to that loop for any inputs. It only fuses
+// passes to cut loop overhead and memory traffic: bits 0-2 in
+// registers per block of eight entries, the remaining bits two at a
+// time, and a last single pass when their count is odd. Both
 // bottleneckTable and BuildUnitTable go through this one implementation;
 // the caching layer's bit-identical invariant depends on that.
 func zetaTransform(sums []float64, k int) {
 	size := 1 << uint(k)
-	for b := 0; b < k; b++ {
+	b := 0
+	if k >= 3 {
+		for q := 0; q < size; q += 8 {
+			s := sums[q : q+8 : q+8]
+			s0, s1, s2, s3, s4, s5, s6, s7 := s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+			s1 += s0 // bit 0
+			s3 += s2
+			s5 += s4
+			s7 += s6
+			s2 += s0 // bit 1
+			s3 += s1
+			s6 += s4
+			s7 += s5
+			s4 += s0 // bit 2
+			s5 += s1
+			s6 += s2
+			s7 += s3
+			s[1], s[2], s[3], s[4], s[5], s[6], s[7] = s1, s2, s3, s4, s5, s6, s7
+		}
+		b = 3
+	}
+	for ; b+1 < k; b += 2 {
+		// Bits b and b+1 over quarters A (neither), B (b), C (b+1), D
+		// (both) of each 4·bit block: pass b gives B += A, D += C; pass
+		// b+1 then gives C += A, D += B.
+		bit := 1 << uint(b)
+		for base := 0; base < size; base += 4 * bit {
+			qa := sums[base : base+bit]
+			qb := sums[base+bit : base+2*bit][:len(qa)]
+			qc := sums[base+2*bit : base+3*bit][:len(qa)]
+			qd := sums[base+3*bit : base+4*bit][:len(qa)]
+			for i, a := range qa {
+				bv := qb[i] + a
+				cv := qc[i]
+				qb[i] = bv
+				qd[i] = (qd[i] + cv) + bv
+				qc[i] = cv + a
+			}
+		}
+	}
+	if b < k {
 		bit := 1 << uint(b)
 		for base := bit; base < size; base += bit << 1 {
 			dst := sums[base : base+bit]
-			src := sums[base-bit : base : base]
+			src := sums[base-bit : base][:len(dst)]
 			for i := range dst {
 				dst[i] += src[i]
 			}
@@ -364,7 +422,15 @@ func (ev *Evaluator) bottleneckTable(used portmap.PortSet, k int) float64 {
 			maxSum[c] = sums[q]
 		}
 	}
-	return divideMaxima(&maxSum, k)
+	best := 0.0
+	for c := 1; c <= k; c++ {
+		if maxSum[c] > 0 {
+			if v := maxSum[c] / float64(c); v > best {
+				best = v
+			}
+		}
+	}
+	return best
 }
 
 // bottleneckUnion enumerates subsets of the merged µop masks in

@@ -583,3 +583,32 @@ func TestBottleneckPartsEdgeCases(t *testing.T) {
 		t.Errorf("single port, mass 3: %v, want 3", got)
 	}
 }
+
+// TestZetaTransformMatchesPassLoop pins the fused zeta transform bit for
+// bit to the textbook one-pass-per-bit loop on fractional inputs, where
+// any change in the order of additions per entry would show.
+func TestZetaTransformMatchesPassLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for k := 0; k <= 12; k++ {
+		for trial := 0; trial < 20; trial++ {
+			got := make([]float64, 1<<uint(k))
+			for i := range got {
+				got[i] = rng.Float64() * math.Pow(10, float64(rng.Intn(7)-3))
+			}
+			want := append([]float64(nil), got...)
+			for b := 0; b < k; b++ {
+				for q := range want {
+					if q&(1<<uint(b)) != 0 {
+						want[q] += want[q^(1<<uint(b))]
+					}
+				}
+			}
+			zetaTransform(got, k)
+			for q := range got {
+				if math.Float64bits(got[q]) != math.Float64bits(want[q]) {
+					t.Fatalf("k=%d entry %d: %v, want %v", k, q, got[q], want[q])
+				}
+			}
+		}
+	}
+}
