@@ -89,16 +89,10 @@ func TestCancelIslandsPartialResult(t *testing.T) {
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	if partial == nil || partial.Best == nil {
-		t.Fatal("no partial result")
+	if partial.Generations != 4 {
+		t.Errorf("Generations = %d, want 4 (canceled after barrier 4)", partial.Generations)
 	}
-	if err := partial.Best.Validate(); err != nil {
-		t.Fatalf("partial best invalid: %v", err)
-	}
-	if partial.Generations < 4 {
-		t.Errorf("Generations = %d, want >= 4 (canceled after barrier 4)", partial.Generations)
-	}
-	_ = full
+	wellFormedPartial(t, "islands", partial, full)
 	checkGoroutines(t, base)
 }
 

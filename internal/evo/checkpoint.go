@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 
 	"pmevo/internal/cachestore"
 	"pmevo/internal/engine"
@@ -46,13 +47,9 @@ import (
 
 // ckptPayloadVersion versions the blob payload layout (the cachestore
 // frame has its own format version; this one covers the evo-specific
-// encoding inside it).
-const ckptPayloadVersion uint32 = 1
-
-const (
-	ckptModeSingle  byte = 0
-	ckptModeIslands byte = 1
-)
+// encoding inside it). It also feeds checkpointKey, so a file written
+// under another version cold-starts with the usual diagnostic.
+const ckptPayloadVersion uint32 = 2
 
 // defaultCheckpointInterval is the periodic checkpoint cadence (in
 // generations) when Options.CheckpointInterval is 0.
@@ -77,8 +74,7 @@ func planCheckpointInterval(opts Options) int {
 // -checkpoint-dir.
 func CheckpointPath(dir string) string { return filepath.Join(dir, "evo-checkpoint.pmc") }
 
-// ckptIsland is the checkpointed state of one island (or of the single
-// population, which is encoded as one island in mode ckptModeSingle).
+// ckptIsland is the checkpointed state of one island.
 type ckptIsland struct {
 	draws      uint64 // RNG state advances at the last generation boundary
 	gens       int
@@ -91,7 +87,6 @@ type ckptIsland struct {
 
 // ckptState is a decoded checkpoint.
 type ckptState struct {
-	mode    byte
 	islands []ckptIsland
 }
 
@@ -143,7 +138,6 @@ func boolBit(b bool) uint64 {
 func encodeCheckpoint(st *ckptState, numInsts, numPorts int) []byte {
 	var b []byte
 	b = binary.LittleEndian.AppendUint32(b, ckptPayloadVersion)
-	b = append(b, st.mode)
 	b = binary.LittleEndian.AppendUint32(b, uint32(numInsts))
 	b = binary.LittleEndian.AppendUint32(b, uint32(numPorts))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.islands)))
@@ -229,10 +223,6 @@ func decodeCheckpoint(payload []byte, numInsts, numPorts int) (*ckptState, error
 	if v := c.u32(); c.err == nil && v != ckptPayloadVersion {
 		return nil, fmt.Errorf("checkpoint payload version %d, want %d", v, ckptPayloadVersion)
 	}
-	st := &ckptState{mode: c.u8()}
-	if st.mode != ckptModeSingle && st.mode != ckptModeIslands {
-		return nil, fmt.Errorf("unknown checkpoint mode %d", st.mode)
-	}
 	if n := int(c.u32()); c.err == nil && n != numInsts {
 		return nil, fmt.Errorf("checkpoint for %d instructions, want %d", n, numInsts)
 	}
@@ -243,6 +233,7 @@ func decodeCheckpoint(payload []byte, numInsts, numPorts int) (*ckptState, error
 	if c.err == nil && (nIslands < 1 || nIslands > 1<<16) {
 		return nil, fmt.Errorf("implausible island count %d", nIslands)
 	}
+	st := &ckptState{}
 	for k := 0; k < nIslands && c.err == nil; k++ {
 		isl := ckptIsland{
 			draws:      c.u64(),
@@ -251,9 +242,19 @@ func decodeCheckpoint(payload []byte, numInsts, numPorts int) (*ckptState, error
 			inited:     c.u8() != 0,
 			converged:  c.u8() != 0,
 		}
+		// An encoder only writes counters from a fully evaluated
+		// boundary: 0 <= epochStart <= gens (so a gens of 2^63 or more,
+		// which decodes negative, fails too), one history entry per
+		// completed generation, and no generation before the initial
+		// population was evaluated. Anything else would resume a corrupt
+		// trajectory.
+		if c.err == nil && (isl.epochStart < 0 || isl.epochStart > isl.gens || (!isl.inited && isl.gens > 0)) {
+			return nil, fmt.Errorf("inconsistent island counters: gens %d, epoch start %d, initialised %v",
+				isl.gens, isl.epochStart, isl.inited)
+		}
 		nHist := int(c.u32())
-		if c.err == nil && nHist > 1<<24 {
-			return nil, fmt.Errorf("implausible history length %d", nHist)
+		if c.err == nil && nHist != isl.gens {
+			return nil, fmt.Errorf("checkpoint history has %d entries for %d generations", nHist, isl.gens)
 		}
 		for i := 0; i < nHist && c.err == nil; i++ {
 			isl.history = append(isl.history, GenStats{
@@ -286,7 +287,12 @@ func decodeCheckpoint(payload []byte, numInsts, numPorts int) (*ckptState, error
 					})
 				}
 				if c.err == nil {
+					// Encoders write canonical decompositions; SetDecomp
+					// would silently merge or drop anything else.
 					m.SetDecomp(inst, ucs)
+					if !slices.Equal(m.Decomp[inst], ucs) {
+						return nil, fmt.Errorf("checkpointed decomposition of instruction %d is not canonical", inst)
+					}
 				}
 			}
 			if c.err == nil {
@@ -330,13 +336,41 @@ type checkpointer struct {
 
 func (c *checkpointer) enabled() bool { return c != nil && c.dir != "" }
 
-// saveState encodes and atomically lands the checkpoint blob, then
-// spills the engine's fitness cache and throughput memo next to it.
-// Failures are logged and swallowed: a lost checkpoint costs
-// re-evolution after a crash, never correctness — and the previous
-// checkpoint file, if any, survives any failed write (atomicity is
-// pinned by the cachestore fault-injection tests).
-func (c *checkpointer) saveState(st *ckptState, gensDone int) {
+// loadCheckpoint restores a checkpoint for resumption. Every failure
+// mode — no file, damage, a checkpoint from different options or a
+// different experiment set — returns an error the caller logs before
+// cold-starting; nothing here can fail a run.
+func loadCheckpoint(dir string, key uint64, numInsts, numPorts int) (*ckptState, error) {
+	payload, err := cachestore.LoadBlob(CheckpointPath(dir), cachestore.SchemaEvoCheckpoint, key)
+	if err != nil {
+		return nil, err
+	}
+	return decodeCheckpoint(payload, numInsts, numPorts)
+}
+
+// maybe writes a periodic checkpoint when at least `interval`
+// generations completed since the last one. mk builds the state lazily
+// so the boundary path pays nothing when no save is due.
+func (c *checkpointer) maybe(gensDone int, mk func() *ckptState) {
+	if c.enabled() && c.interval >= 0 && gensDone-c.lastGens >= c.interval {
+		c.save(gensDone, mk)
+	}
+}
+
+// save writes a checkpoint: at every migration barrier (the natural
+// island-model cadence), on interruption (the state a resume continues
+// from), and on completion of the generational phase (so a resume with
+// a larger MaxGenerations extends the run). It encodes and atomically
+// lands the checkpoint blob, then spills the engine's fitness cache and
+// throughput memo next to it. Failures are logged and swallowed: a lost
+// checkpoint costs re-evolution after a crash, never correctness — and
+// the previous checkpoint file, if any, survives any failed write
+// (atomicity is pinned by the cachestore fault-injection tests).
+func (c *checkpointer) save(gensDone int, mk func() *ckptState) {
+	if !c.enabled() {
+		return
+	}
+	st := mk()
 	sig := stateSig(st)
 	if sig == c.lastSig {
 		c.lastGens = gensDone
@@ -360,48 +394,6 @@ func (c *checkpointer) saveState(st *ckptState, gensDone int) {
 		}
 	}
 	c.log("checkpoint written at generation %d (%s)", gensDone, CheckpointPath(c.dir))
-}
-
-// loadCheckpoint restores a checkpoint for resumption. Every failure
-// mode — no file, damage, a checkpoint from different options or a
-// different experiment set — returns an error the caller logs before
-// cold-starting; nothing here can fail a run.
-func loadCheckpoint(dir string, key uint64, numInsts, numPorts int) (*ckptState, error) {
-	payload, err := cachestore.LoadBlob(CheckpointPath(dir), cachestore.SchemaEvoCheckpoint, key)
-	if err != nil {
-		return nil, err
-	}
-	return decodeCheckpoint(payload, numInsts, numPorts)
-}
-
-// maybe writes a periodic checkpoint when at least `interval`
-// generations completed since the last one. mk builds the state lazily
-// so the boundary path pays nothing when no save is due.
-func (c *checkpointer) maybe(gensDone int, mk func() *ckptState) {
-	if !c.enabled() || c.interval < 0 || gensDone-c.lastGens < c.interval {
-		return
-	}
-	c.saveState(mk(), gensDone)
-}
-
-// barrier writes a checkpoint at a migration barrier (every barrier, by
-// contract — the natural island-model checkpoint cadence).
-func (c *checkpointer) barrier(gensDone int, mk func() *ckptState) {
-	if !c.enabled() {
-		return
-	}
-	c.saveState(mk(), gensDone)
-}
-
-// interruptOrDone writes the final checkpoint of a run: on
-// interruption (the state the resume will continue from) and on
-// completion of the generational phase (so a resume with a larger
-// MaxGenerations extends the run).
-func (c *checkpointer) interruptOrDone(gensDone int, mk func() *ckptState) {
-	if !c.enabled() {
-		return
-	}
-	c.saveState(mk(), gensDone)
 }
 
 func (c *checkpointer) log(format string, args ...any) {

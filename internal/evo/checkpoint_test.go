@@ -1,15 +1,19 @@
 package evo
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"pmevo/internal/faultfs"
+	"pmevo/internal/portmap"
 )
 
 // ckptOpts is a small but non-trivial configuration for the
@@ -125,9 +129,10 @@ func TestResumeAfterInterruptBitIdenticalSingle(t *testing.T) {
 
 	ropts := opts
 	ropts.CheckpointDir = dir
+	ropts.Resume = true
 	var logs []string
 	ropts.Log = func(f string, a ...any) { logs = append(logs, fmt.Sprintf(f, a...)) }
-	resumed, err := Resume(context.Background(), measuredSet(t, hiddenMapping()), ropts)
+	resumed, err := Run(context.Background(), measuredSet(t, hiddenMapping()), ropts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,6 +181,38 @@ func TestResumeAfterInterruptBitIdenticalIslands(t *testing.T) {
 		t.Errorf("island resume did not restore:\n%s", strings.Join(logs, "\n"))
 	}
 	sameTrajectory(t, "islands resumed", resumed, full)
+}
+
+// TestResumeFromUninitialisedCheckpoint: a run canceled before its
+// initial population was evaluated returns no result but checkpoints
+// the unevaluated islands (single and several alike); resuming from that
+// checkpoint evaluates them and finishes bit-identical to an
+// uninterrupted run.
+func TestResumeFromUninitialisedCheckpoint(t *testing.T) {
+	for _, islands := range []int{1, 3} {
+		opts := ckptOpts()
+		opts.Islands = islands
+		full := mustRun(t, opts)
+
+		opts.CheckpointDir = t.TempDir()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if res, err := Run(ctx, measuredSet(t, hiddenMapping()), opts); res != nil || !errors.Is(err, ErrCanceled) {
+			t.Fatalf("islands=%d: canceled run = (%v, %v), want (nil, ErrCanceled)", islands, res, err)
+		}
+
+		opts.Resume = true
+		var logs []string
+		opts.Log = func(f string, a ...any) { logs = append(logs, fmt.Sprintf(f, a...)) }
+		resumed, err := Run(context.Background(), measuredSet(t, hiddenMapping()), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !containsLog(logs, "restored checkpoint at generation 0") {
+			t.Errorf("islands=%d: resume did not restore the unevaluated checkpoint:\n%s", islands, strings.Join(logs, "\n"))
+		}
+		sameTrajectory(t, fmt.Sprintf("islands=%d", islands), resumed, full)
+	}
 }
 
 // TestResumeBudgetExtension pins that a run which COMPLETED its
@@ -386,4 +423,140 @@ func containsLog(logs []string, substr string) bool {
 		}
 	}
 	return false
+}
+
+// TestDecodeCheckpointRejectsInconsistentCounters: the decoder accepts
+// only counters an encoder can write. Each corruption below used to
+// decode and would have resumed a corrupt trajectory; every one must
+// now fail with a nil state, while the untouched state round-trips.
+func TestDecodeCheckpointRejectsInconsistentCounters(t *testing.T) {
+	valid := func() *ckptState {
+		return &ckptState{islands: []ckptIsland{{
+			draws:      40,
+			gens:       2,
+			epochStart: 2,
+			inited:     true,
+			history:    []GenStats{{Generation: 0, BestError: 0.5, BestVolume: 5, MeanError: 0.6}, {Generation: 1, BestError: 0.4, BestVolume: 5, MeanError: 0.5}},
+			pop:        []individual{{m: hiddenMapping(), davg: 0.4, volume: 5}},
+		}}}
+	}
+	payload := encodeCheckpoint(valid(), 4, 3)
+	st, err := decodeCheckpoint(payload, 4, 3)
+	if err != nil {
+		t.Fatalf("valid state rejected: %v", err)
+	}
+	if again := encodeCheckpoint(st, 4, 3); !bytes.Equal(again, payload) {
+		t.Fatal("valid state does not round-trip")
+	}
+
+	cases := []struct {
+		name    string
+		corrupt func(*ckptIsland)
+	}{
+		{"gens at or above 2^63 decodes negative", func(isl *ckptIsland) { isl.gens = math.MinInt64; isl.epochStart = 0 }},
+		{"history shorter than gens", func(isl *ckptIsland) { isl.history = isl.history[:1] }},
+		{"history longer than gens", func(isl *ckptIsland) { isl.gens, isl.epochStart = 1, 1 }},
+		{"epoch start beyond gens", func(isl *ckptIsland) { isl.epochStart = 3 }},
+		{"negative epoch start", func(isl *ckptIsland) { isl.epochStart = -1 }},
+		{"generations before initialisation", func(isl *ckptIsland) { isl.inited = false }},
+		{"non-canonical decomposition", func(isl *ckptIsland) {
+			m := isl.pop[0].m.Clone()
+			m.Decomp[0] = []portmap.UopCount{{Ports: portmap.MakePortSet(0), Count: 1}, {Ports: portmap.MakePortSet(0), Count: 1}}
+			isl.pop[0].m = m
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := valid()
+			tc.corrupt(&bad.islands[0])
+			st, err := decodeCheckpoint(encodeCheckpoint(bad, 4, 3), 4, 3)
+			if err == nil {
+				t.Fatal("corrupt checkpoint decoded without error")
+			}
+			if st != nil {
+				t.Fatalf("error %v came with a non-nil state", err)
+			}
+		})
+	}
+}
+
+// FuzzDecodeCheckpoint feeds arbitrary payloads to the checkpoint
+// decoder at the hiddenMapping geometry (4 instructions, 3 ports). The
+// decoder must never panic and must pair every error with a nil state,
+// and every state it accepts must re-encode to a fixed point: the
+// re-encoded bytes decode again and re-encode unchanged. The seed corpus
+// in testdata/fuzz/FuzzDecodeCheckpoint holds real checkpoint payloads
+// (see TestDecodeCheckpointSeedCorpus).
+func FuzzDecodeCheckpoint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		st, err := decodeCheckpoint(payload, 4, 3)
+		if err != nil {
+			if st != nil {
+				t.Fatalf("error %v came with a non-nil state", err)
+			}
+			return
+		}
+		enc := encodeCheckpoint(st, 4, 3)
+		st2, err := decodeCheckpoint(enc, 4, 3)
+		if err != nil {
+			t.Fatalf("re-encoded state does not decode: %v", err)
+		}
+		if again := encodeCheckpoint(st2, 4, 3); !bytes.Equal(again, enc) {
+			t.Fatal("re-encoding is not a fixed point")
+		}
+	})
+}
+
+// TestDecodeCheckpointSeedCorpus keeps the fuzz seed corpus in step with
+// the payload format, so the fuzzer starts from payloads that get past
+// the header. The seeds are checkpoints written by Run on the
+// hiddenMapping set with PopulationSize 4, MaxGenerations 2, Seed 1:
+// one island; three islands of 2 with MigrationInterval 1; one island
+// whose context was canceled before the initial population was
+// evaluated; and the one-island payload cut in half and with three bytes
+// appended. After a payload format change, regenerate them the same way.
+func TestDecodeCheckpointSeedCorpus(t *testing.T) {
+	cases := []struct {
+		name    string
+		islands int  // 0: must not decode
+		inited  bool // of every island
+	}{
+		{"one-island", 1, true},
+		{"three-islands", 3, true},
+		{"uninitialised-island", 1, false},
+		{"truncated", 0, false},
+		{"trailing-bytes", 0, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeCheckpoint", tc.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, found := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+			lit, closed := strings.CutSuffix(body, ")\n")
+			payload, err := strconv.Unquote(lit)
+			if !found || !closed || err != nil {
+				t.Fatalf("not a one-value []byte fuzz corpus file (%v):\n%s", err, raw)
+			}
+			st, err := decodeCheckpoint([]byte(payload), 4, 3)
+			if tc.islands == 0 {
+				if err == nil {
+					t.Fatal("damaged seed decoded")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("seed no longer decodes (stale after a format change?): %v", err)
+			}
+			if len(st.islands) != tc.islands {
+				t.Fatalf("seed has %d islands, want %d", len(st.islands), tc.islands)
+			}
+			for k, isl := range st.islands {
+				if isl.inited != tc.inited {
+					t.Errorf("island %d: inited = %v, want %v", k, isl.inited, tc.inited)
+				}
+			}
+		})
+	}
 }

@@ -26,22 +26,29 @@
 // contains no worker-pool code of its own beyond distributing islands
 // over engine.ForEachWorker.
 //
-// # Island model
+// # One generation loop, one or more islands
 //
-// With Options.Islands > 1 the population is sharded into sub-populations
-// ("islands") that run the algorithm above independently and
-// concurrently, each on its own goroutine with its own deterministic RNG
-// stream split from Options.Seed. Every Options.MigrationInterval
-// generations the islands exchange individuals on a ring: island k's
-// best Options.MigrationCount individuals (cloned) replace island
-// (k+1 mod N)'s worst. All islands share one engine.Service — and with
-// it the lock-free throughput memo and the cross-generation fitness
-// cache — through per-island engine.BatchEvaluator handles. Because
-// islands only interact at epoch barriers (migration is applied
-// serially, collect-then-apply) and every shared cache is a bit-exact
-// memo of a pure function, a fixed Seed and a fixed Islands produce
-// bit-identical results regardless of Workers or goroutine scheduling;
-// Islands <= 1 reproduces the single-population algorithm bit-exactly.
+// Every run goes through the same island-model loop. Options.Islands
+// shards the population into sub-populations ("islands") that run the
+// algorithm above in epochs, concurrently, each on one goroutine at a
+// time. Between epochs the coordinator checkpoints, reports progress
+// through Options.OnGeneration and, with several islands, migrates on a
+// ring: every Options.MigrationInterval generations island k's best
+// Options.MigrationCount individuals (cloned) replace island
+// (k+1 mod N)'s worst.
+//
+// A single island is the paper's single population. It draws from the
+// master RNG stream seeded by Options.Seed, evaluates each generation's
+// batch in parallel through the engine.Service, and runs epochs of one
+// generation. Several islands each draw from their own stream, split
+// deterministically from the master stream, and evaluate serially
+// through a private engine.BatchEvaluator. All islands share one
+// engine.Service — and with it the lock-free throughput memo and the
+// cross-generation fitness cache. Because islands only interact at epoch
+// barriers (migration is applied serially, collect-then-apply) and every
+// shared cache is a bit-exact memo of a pure function, a fixed Seed and
+// a fixed Islands produce bit-identical results regardless of Workers or
+// goroutine scheduling.
 package evo
 
 import (
@@ -109,24 +116,24 @@ type Options struct {
 	AccuracyWeight float64
 	// Workers is the number of parallel fitness evaluation goroutines
 	// (0: GOMAXPROCS). Workers are shared across islands, not
-	// per-island: with Islands <= 1 each generation's batch fans out
-	// over Workers goroutines; with Islands > 1 each island evaluates
-	// serially on its own goroutine and the islands themselves are
-	// distributed over min(Workers, Islands) goroutines — total
-	// parallelism never exceeds Workers either way, and the value never
-	// affects results (see Islands).
+	// per-island: a single island fans each generation's batch out over
+	// Workers goroutines; several islands each evaluate serially on
+	// their own goroutine and are distributed over min(Workers, Islands)
+	// goroutines. Total parallelism never exceeds Workers either way,
+	// and the value never affects results (see Islands).
 	Workers int
 	// Islands shards the population into this many sub-populations of
 	// PopulationSize/Islands individuals (remainder spread over the
-	// first islands) that evolve concurrently, each on its own RNG
-	// stream split deterministically from Seed, exchanging individuals
-	// on a ring every MigrationInterval generations. Determinism
-	// contract: a fixed Seed and a fixed Islands give bit-identical
-	// results regardless of Workers or goroutine scheduling (pinned by
-	// test), and Islands <= 1 reproduces the single-population
-	// algorithm bit-exactly. Clamped so every island holds at least 2
-	// individuals (Islands <= 0 -> 1, Islands > PopulationSize/2 ->
-	// PopulationSize/2).
+	// first islands) that evolve concurrently and exchange individuals
+	// on a ring every MigrationInterval generations. Every value runs
+	// the same generation loop. A single island (Islands <= 1) is the
+	// paper's single population: it draws from Seed's stream itself.
+	// Several islands each draw from their own stream split
+	// deterministically from Seed. Determinism contract: a fixed Seed
+	// and a fixed Islands give bit-identical results regardless of
+	// Workers or goroutine scheduling (pinned by test). Clamped so every
+	// island holds at least 2 individuals (Islands <= 0 -> 1,
+	// Islands > PopulationSize/2 -> PopulationSize/2).
 	Islands int
 	// MigrationInterval is the epoch length: the number of generations
 	// each island evolves between ring migrations (0: default 5;
@@ -207,11 +214,13 @@ type Options struct {
 	// MaxGenerations may differ (a resume can extend the budget).
 	Resume bool
 	// OnGeneration, when non-nil, is called on the coordinator
-	// goroutine after each completed generation (single-population
-	// runs) or after each migration barrier (island runs) with the
-	// number of generations completed so far. It is a progress hook and
-	// a deterministic cancellation point for tests; it must not call
-	// back into the run.
+	// goroutine at every epoch barrier with the number of generations
+	// completed so far (the furthest island's count). A single island
+	// runs epochs of one generation, so it reports 1, 2, ...,
+	// Generations; several islands report at every migration barrier,
+	// and not at all with migration off. It is a progress hook and a
+	// deterministic cancellation point for tests; it must not call back
+	// into the run.
 	OnGeneration func(gensDone int)
 	// Log, when non-nil, receives checkpoint/resume diagnostics
 	// (Printf-style). Nil means silent.
@@ -282,7 +291,7 @@ type individual struct {
 // when not even the initial population was evaluated). With
 // Options.CheckpointDir set, the state at the last completed
 // generation boundary is checkpointed before returning, ready for
-// Resume.
+// Options.Resume.
 func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 	if set == nil || set.NumInsts == 0 {
 		return nil, errors.New("evo: empty instruction set")
@@ -336,7 +345,7 @@ func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 		st, err := loadCheckpoint(opts.CheckpointDir, ckptKey, set.NumInsts, opts.NumPorts)
 		if err != nil {
 			logf("evo: resume: cold start: %v", err)
-		} else if err := validateCheckpointGeometry(st, plan, opts); err != nil {
+		} else if err := validateCheckpointGeometry(st, plan); err != nil {
 			logf("evo: resume: cold start: %v", err)
 		} else {
 			restored = st
@@ -390,13 +399,8 @@ func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 		}
 	}
 
-	var best individual
 	res := &Result{}
-	if plan.islands == 1 {
-		best, err = runSingle(ctx, set, opts, svc, res, cp, restored)
-	} else {
-		best, err = runIslands(ctx, set, opts, svc, plan, res, cp, restored)
-	}
+	best, err := runIslands(ctx, set, opts, svc, plan, res, cp, restored)
 	finish := func(b individual) *Result {
 		res.Best = b.m
 		res.BestError = b.davg
@@ -427,14 +431,6 @@ func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 	return finish(best), nil
 }
 
-// Resume is Run with Options.Resume forced on: restore the checkpoint
-// in opts.CheckpointDir (cold-starting with a diagnostic when there is
-// none) and continue to MaxGenerations.
-func Resume(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
-	opts.Resume = true
-	return Run(ctx, set, opts)
-}
-
 // maxGens returns the furthest generation any island of a checkpoint
 // reached (for the resume diagnostic).
 func maxGens(st *ckptState) int {
@@ -452,18 +448,9 @@ func maxGens(st *ckptState) int {
 // here (same options hash to the same key), so failures indicate a
 // damaged-but-checksum-colliding file or a version skew — treated, as
 // always, as a cold start.
-func validateCheckpointGeometry(st *ckptState, plan islandPlan, opts Options) error {
-	if plan.islands == 1 {
-		if st.mode != ckptModeSingle || len(st.islands) != 1 {
-			return fmt.Errorf("checkpoint has %d islands in mode %d, want single-population", len(st.islands), st.mode)
-		}
-		if n := len(st.islands[0].pop); n != opts.PopulationSize {
-			return fmt.Errorf("checkpoint population %d, want %d", n, opts.PopulationSize)
-		}
-		return nil
-	}
-	if st.mode != ckptModeIslands || len(st.islands) != plan.islands {
-		return fmt.Errorf("checkpoint has %d islands in mode %d, want %d islands", len(st.islands), st.mode, plan.islands)
+func validateCheckpointGeometry(st *ckptState, plan islandPlan) error {
+	if len(st.islands) != plan.islands {
+		return fmt.Errorf("checkpoint has %d islands, want %d", len(st.islands), plan.islands)
 	}
 	for k := range st.islands {
 		if n := len(st.islands[k].pop); n != plan.sizes[k] {
@@ -486,8 +473,8 @@ const (
 // never returned as errors).
 type islandPlan struct {
 	islands  int   // >= 1
-	sizes    []int // per-island population; sums to PopulationSize (nil when islands == 1)
-	interval int   // generations per epoch; 0: migration off
+	sizes    []int // per-island population; sums to PopulationSize
+	interval int   // generations per epoch; 0: one epoch of the whole budget
 	count    int   // emigrants per migration; 0: migration off
 }
 
@@ -495,6 +482,9 @@ type islandPlan struct {
 // 1, Islands too large for PopulationSize is capped so every island
 // holds at least 2 individuals, MigrationCount is capped below the
 // smallest island population, and zero interval/count select defaults.
+// A single island has no one to migrate with; it runs epochs of one
+// generation, so progress and periodic checkpoints come after every
+// generation.
 func planIslands(opts Options) islandPlan {
 	n := opts.Islands
 	if n <= 0 {
@@ -503,17 +493,17 @@ func planIslands(opts Options) islandPlan {
 	if max := opts.PopulationSize / 2; n > max {
 		n = max
 	}
-	pl := islandPlan{islands: n}
-	if n == 1 {
-		return pl
-	}
+	pl := islandPlan{islands: n, sizes: make([]int, n)}
 	base, rem := opts.PopulationSize/n, opts.PopulationSize%n
-	pl.sizes = make([]int, n)
 	for k := range pl.sizes {
 		pl.sizes[k] = base
 		if k < rem {
 			pl.sizes[k]++
 		}
+	}
+	if n == 1 {
+		pl.interval = 1
+		return pl
 	}
 	interval := opts.MigrationInterval
 	if interval == 0 {
@@ -533,155 +523,18 @@ func planIslands(opts Options) islandPlan {
 	return pl
 }
 
-// runSingle is the single-population algorithm — the pre-island code
-// path, preserved so that Islands <= 1 consumes the RNG stream
-// identically and reproduces historical fixed-seed runs bit-exactly
-// (pinned by golden test). It returns the fittest individual before
-// local search and fills res.Generations/History.
-//
-// Cancellation stops the loop at the next generation boundary (or
-// mid-batch via evaluate, in which case the aborted generation's
-// children are discarded) and returns the last completed generation's
-// best with the typed interruption error; the boundary state is
-// checkpointed first. An interruption before the initial population
-// was evaluated returns no partial (there is no consistent state yet).
-func runSingle(ctx context.Context, set *exp.Set, opts Options, svc *engine.Service, res *Result, cp *checkpointer, restored *ckptState) (individual, error) {
-	rng, src := newCountedRand(opts.Seed)
-	p := opts.PopulationSize
-	dedupe := !opts.DisableCache
-	// seen caches fitness by whole-mapping fingerprint for the current
-	// population, so duplicate candidates — common once the population
-	// converges — skip evaluation entirely. Rebuilt per generation to
-	// stay bounded.
-	seen := make(map[uint64]engine.Fitness)
-
-	var pop []individual
-	startGen := 0
-	if restored != nil {
-		// The restored population is already evaluated and sorted; the
-		// RNG fast-forwards to the boundary position, after which every
-		// draw matches the uninterrupted run.
-		st := &restored.islands[0]
-		pop = make([]individual, 0, 2*p)
-		pop = append(pop, st.pop...)
-		startGen = st.gens
-		res.Generations = st.gens
-		res.History = append(res.History, st.history...)
-		src.skip(st.draws)
-		if converged(pop, opts.ConvergenceEps) || st.converged {
-			return pop[0], nil
-		}
-	} else {
-		pop = make([]individual, 0, 2*p)
-		for _, sm := range opts.SeedMappings {
-			if len(pop) < p {
-				pop = append(pop, individual{m: sm.Clone()})
-			}
-		}
-		for len(pop) < p {
-			m := portmap.Random(rng, portmap.RandomOptions{
-				NumInsts:       set.NumInsts,
-				NumPorts:       opts.NumPorts,
-				ThroughputHint: set.Individual,
-				MaxUops:        opts.MaxUopsPerInst,
-			})
-			pop = append(pop, individual{m: m})
-		}
-		if err := evaluate(ctx, svc, svc, pop, seen, dedupe); err != nil {
-			return individual{}, err
-		}
-	}
-
-	// singleState snapshots the boundary state for checkpointing.
-	singleState := func(gens int, draws uint64) *ckptState {
-		return &ckptState{mode: ckptModeSingle, islands: []ckptIsland{{
-			draws:   draws,
-			gens:    gens,
-			inited:  true,
-			history: res.History,
-			pop:     pop,
-		}}}
-	}
-
-	for gen := startGen; gen < opts.MaxGenerations; gen++ {
-		boundaryDraws := src.n
-		if err := runctrl.Check(ctx); err != nil {
-			cp.interruptOrDone(gen, func() *ckptState { return singleState(gen, boundaryDraws) })
-			return pop[0], err
-		}
-
-		// Evolutionary operators: p children from recombined parents.
-		children := make([]individual, 0, p)
-		for len(children) < p {
-			a := pop[rng.Intn(len(pop))].m
-			b := pop[rng.Intn(len(pop))].m
-			c1, c2 := recombine(rng, a, b, set.Individual)
-			if opts.MutationRate > 0 {
-				mutate(rng, c1, opts, set.Individual)
-				mutate(rng, c2, opts, set.Individual)
-			}
-			children = append(children, individual{m: c1})
-			if len(children) < p {
-				children = append(children, individual{m: c2})
-			}
-		}
-		if dedupe {
-			// Prime the duplicate skip with the already evaluated parents.
-			clear(seen)
-			for i := range pop {
-				seen[pop[i].m.FingerprintAll()] = engine.Fitness{Davg: pop[i].davg, Volume: pop[i].volume}
-			}
-		}
-		if err := evaluate(ctx, svc, svc, children, seen, dedupe); err != nil {
-			if runctrl.Interrupted(err) {
-				// The aborted generation's children are discarded; pop is
-				// still the last boundary state, and boundaryDraws predates
-				// this generation's recombination draws.
-				cp.interruptOrDone(gen, func() *ckptState { return singleState(gen, boundaryDraws) })
-				return pop[0], err
-			}
-			return individual{}, err
-		}
-		pop = append(pop, children...)
-
-		// Selection: scalarize both objectives over the combined
-		// population and keep the best p.
-		selectBest(pop, p, opts.VolumeObjective, opts.AccuracyWeight)
-		pop = pop[:p]
-
-		res.Generations = gen + 1
-		best := pop[0]
-		res.History = append(res.History, GenStats{
-			Generation: gen,
-			BestError:  best.davg,
-			BestVolume: best.volume,
-			MeanError:  meanError(pop),
-		})
-
-		cp.maybe(gen+1, func() *ckptState { return singleState(gen+1, src.n) })
-		if opts.OnGeneration != nil {
-			opts.OnGeneration(gen + 1)
-		}
-
-		if converged(pop, opts.ConvergenceEps) {
-			break
-		}
-	}
-	cp.interruptOrDone(res.Generations, func() *ckptState { return singleState(res.Generations, src.n) })
-	return pop[0], nil
-}
-
-// island is one sub-population of an island-model run. Between epoch
-// barriers an island touches no state outside itself except the shared
-// engine.Service's bit-exact pure-function caches (through its private
-// BatchEvaluator), which is what makes the run scheduling-independent.
+// island is one sub-population of a run (the whole population when the
+// run has one island). Between epoch barriers an island touches no
+// state outside itself except the shared engine.Service's bit-exact
+// pure-function caches (through its evaluator), which is what makes the
+// run scheduling-independent.
 type island struct {
 	idx        int
 	rng        *rand.Rand
 	src        *countingSource
-	pop        []individual // sorted best-first after every generation
-	seen       map[uint64]engine.Fitness
-	be         *engine.BatchEvaluator
+	pop        []individual              // sorted best-first after every generation
+	seen       map[uint64]engine.Fitness // duplicate skip: fingerprint -> fitness, primed with the parents each generation
+	be         batchEvaluator
 	history    []GenStats
 	gens       int
 	draws      uint64 // RNG draw count at the last generation boundary
@@ -698,13 +551,15 @@ func (isl *island) alive(maxGens int) bool {
 }
 
 // evolve advances the island up to its epoch target (first evaluating
-// the initial population if this is the island's first epoch), running
-// the same generation loop as runSingle on the island's private RNG and
-// population. Called concurrently across islands; errors are parked in
-// isl.err for the coordinator. Cancellation stops the island at a
-// generation boundary — isl.gens/isl.draws always describe a fully
-// evaluated, sorted population, so an interrupted island checkpoints
-// and resumes exactly like one that hit its barrier.
+// the initial population if this is the island's first epoch). It is
+// the one generation loop of Algorithm 1: recombine p children from the
+// island's RNG stream, evaluate them, keep the best p of 2p, and stop
+// early once the population has converged. Called concurrently across
+// islands; errors are parked in isl.err for the coordinator.
+// Cancellation stops the island at a generation boundary —
+// isl.gens/isl.draws always describe a fully evaluated, sorted
+// population, so an interrupted island checkpoints and resumes exactly
+// like one that hit its barrier.
 func (isl *island) evolve(ctx context.Context, set *exp.Set, svc *engine.Service, opts Options, dedupe bool) {
 	if isl.err != nil {
 		return
@@ -772,33 +627,33 @@ func (isl *island) evolve(ctx context.Context, set *exp.Set, svc *engine.Service
 	}
 }
 
-// runIslands is the island-model run: plan.islands sub-populations
-// evolving concurrently in epochs of plan.interval generations, with a
-// serial ring migration at every epoch barrier, and a final cross-island
-// selection over the union of the surviving populations. Returns the
-// fittest individual before local search and fills
-// res.Generations/History.
+// runIslands is the generation loop of every run: plan.islands
+// sub-populations evolving concurrently in epochs of plan.interval
+// generations (one epoch of the whole budget when migration is off),
+// with a serial ring migration at every barrier between epochs when
+// plan.count > 0. Returns the fittest individual before local search
+// and fills res.Generations/History.
 //
 // Cancellation is observed at island generation boundaries and acted on
 // at the epoch barrier: the coordinator checkpoints every island's
 // boundary state (per-island gens + epochStart, so a mid-epoch stop
-// resumes to the same barrier) and returns the cross-island best so far
-// with the typed interruption error.
+// resumes to the same barrier) and returns the best so far with the
+// typed interruption error. An interruption before the initial
+// population was evaluated returns no individual.
 func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Service, plan islandPlan, res *Result, cp *checkpointer, restored *ckptState) (individual, error) {
-	// Split one RNG stream per island from the master seed: island k's
-	// stream is seeded by the k-th draw, so the layout is a pure
-	// function of (Seed, Islands) — independent of Workers and of which
-	// goroutine runs which island.
-	// The master stream also goes through the draw-counting seam: it is
-	// never checkpointed (all its draws happen before any island runs),
-	// but routing it through newCountedRand keeps rng.go the only place
-	// a raw source is constructed. The wrapped source delegates to the
-	// same generator, so the sub-seed layout is bit-identical to
-	// rand.New(rand.NewSource(opts.Seed)).
-	master, _ := newCountedRand(opts.Seed)
+	// A single island draws from the master stream itself and evaluates
+	// each generation in parallel through the Service. Several islands
+	// each take a stream seeded by the master's k-th draw, so the layout
+	// is a pure function of (Seed, Islands) — independent of Workers and
+	// of which goroutine runs which island — and evaluate serially
+	// through a private BatchEvaluator.
+	master, msrc := newCountedRand(opts.Seed)
 	isls := make([]*island, plan.islands)
 	for k := range isls {
-		rng, src := newCountedRand(master.Int63())
+		rng, src := master, msrc
+		if plan.islands > 1 {
+			rng, src = newCountedRand(master.Int63())
+		}
 		isls[k] = &island{
 			idx:  k,
 			rng:  rng,
@@ -807,6 +662,9 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 			//pmevo:allow serialhandle -- each island is owned by exactly one worker goroutine per generation (see runIslands); the handle never crosses islands
 			be: svc.NewBatchEvaluator(),
 		}
+	}
+	if plan.islands == 1 {
+		isls[0].be = svc
 	}
 	restoredEpoch := false
 	if restored != nil {
@@ -853,7 +711,7 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 	// islandState snapshots every island's boundary state for
 	// checkpointing (slices are copied at encode time).
 	islandState := func() *ckptState {
-		st := &ckptState{mode: ckptModeIslands, islands: make([]ckptIsland, len(isls))}
+		st := &ckptState{islands: make([]ckptIsland, len(isls))}
 		for k, isl := range isls {
 			st.islands[k] = ckptIsland{
 				draws:      isl.draws,
@@ -876,10 +734,15 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 		}
 		return g
 	}
-	// combinedBest ranks the union of the initialized populations under
-	// one shared normalization, exactly as one combined generation would
-	// be — the same selection the uninterrupted run performs at the end.
-	combinedBest := func() (individual, bool) {
+	// bestSoFar is a single island's own best. Several islands rank the
+	// union of their initialized populations under one shared
+	// normalization, exactly as one combined generation would be — the
+	// same selection the uninterrupted run performs at the end. (A single
+	// island is not re-ranked: a normalization over the survivors alone
+	// can order them differently from the selection that kept them.)
+	// Before any population was evaluated there is no best: the zero
+	// individual.
+	bestSoFar := func() individual {
 		combined := make([]individual, 0, opts.PopulationSize)
 		for _, isl := range isls {
 			if isl.inited {
@@ -887,14 +750,15 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 			}
 		}
 		if len(combined) == 0 {
-			return individual{}, false
+			return individual{}
 		}
-		selectBest(combined, len(combined), opts.VolumeObjective, opts.AccuracyWeight)
-		return combined[0], true
+		if len(isls) > 1 {
+			selectBest(combined, len(combined), opts.VolumeObjective, opts.AccuracyWeight)
+		}
+		return combined[0]
 	}
 
 	dedupe := !opts.DisableCache
-	migrating := plan.interval > 0 && plan.count > 0
 	for {
 		alive := 0
 		for _, isl := range isls {
@@ -911,7 +775,7 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 		// uninterrupted run would have hit; afterwards each epoch starts
 		// at the island's own boundary.
 		for _, isl := range isls {
-			if !migrating {
+			if plan.interval == 0 {
 				isl.epochStart = isl.gens
 				isl.target = opts.MaxGenerations // one epoch runs the full budget
 				continue
@@ -943,36 +807,32 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 		}
 		if interrupted != nil {
 			res.Generations, res.History = mergeIslandStats(isls)
-			cp.interruptOrDone(maxIslandGens(), islandState)
-			best, ok := combinedBest()
-			if !ok {
-				return individual{}, interrupted
-			}
-			return best, interrupted
+			cp.save(maxIslandGens(), islandState)
+			return bestSoFar(), interrupted
 		}
-		if !migrating {
+		if plan.interval == 0 {
 			break
 		}
-		migrate(isls, plan.count, opts.ConvergenceEps)
-		// Migration rewrote populations outside the islands' own
-		// generation loops; the barrier checkpoint captures the
-		// post-migration state so a resume never replays the exchange.
 		for _, isl := range isls {
 			isl.epochStart = isl.gens
 		}
-		cp.barrier(maxIslandGens(), islandState)
+		if plan.count > 0 {
+			// Migration rewrites populations outside the islands' own
+			// generation loops; the barrier checkpoint captures the
+			// post-migration state so a resume never replays the exchange.
+			migrate(isls, plan.count, opts.ConvergenceEps)
+			cp.save(maxIslandGens(), islandState)
+		} else {
+			cp.maybe(maxIslandGens(), islandState)
+		}
 		if opts.OnGeneration != nil {
 			opts.OnGeneration(maxIslandGens())
 		}
 	}
 
 	res.Generations, res.History = mergeIslandStats(isls)
-	cp.interruptOrDone(res.Generations, islandState)
-
-	// Final cross-island selection over the union of the surviving
-	// populations.
-	best, _ := combinedBest()
-	return best, nil
+	cp.save(res.Generations, islandState)
+	return bestSoFar(), nil
 }
 
 // migrate performs one ring migration: island k's best count individuals
@@ -1008,8 +868,12 @@ func migrate(isls []*island, count int, eps float64) {
 // generation g's BestError/BestVolume is the best over the islands that
 // ran generation g (ties break on volume, then island order), MeanError
 // is the population-weighted mean, and Generations is the longest island
-// run.
+// run. A single island's history is returned as is (weighting its mean
+// by its own size could round it differently).
 func mergeIslandStats(isls []*island) (int, []GenStats) {
+	if len(isls) == 1 {
+		return isls[0].gens, isls[0].history
+	}
 	gens := 0
 	for _, isl := range isls {
 		if isl.gens > gens {
@@ -1042,11 +906,11 @@ func mergeIslandStats(isls []*island) (int, []GenStats) {
 	return gens, hist
 }
 
-// batchEvaluator abstracts the two batch-evaluation routes: the Service
-// itself (parallel over Workers, one batch at a time — the
-// single-population path) and a per-island engine.BatchEvaluator
-// (serial, any number concurrent against one Service). Both produce
-// bit-identical fitnesses.
+// batchEvaluator is how an island evaluates a batch. A single island
+// uses the Service itself, which fans each batch out over Workers
+// goroutines; each of several islands uses its own engine.BatchEvaluator,
+// which evaluates serially so any number can run concurrently against
+// one Service. Both produce bit-identical fitnesses.
 type batchEvaluator interface {
 	EvaluateAll(ctx context.Context, ms []*portmap.Mapping, out []engine.Fitness) error
 }

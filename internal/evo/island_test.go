@@ -36,49 +36,96 @@ func prePRGoldenMapping() *portmap.Mapping {
 	return m
 }
 
+// historyDigest folds every bit of a run's per-generation history into
+// one value, so a golden can pin the whole trajectory.
+func historyDigest(h []GenStats) uint64 {
+	d := uint64(0)
+	for _, g := range h {
+		d = portmap.CombineFingerprints(d, uint64(g.Generation))
+		d = portmap.CombineFingerprints(d, math.Float64bits(g.BestError))
+		d = portmap.CombineFingerprints(d, uint64(g.BestVolume))
+		d = portmap.CombineFingerprints(d, math.Float64bits(g.MeanError))
+	}
+	return d
+}
+
 // TestGoldenSinglePopulation pins the Islands<=1 path bit-identical to
-// the pre-island-model evo.Run: mapping JSON bytes, Davg bits,
-// generation count, and — with the cross-generation fitness cache
-// disabled, the exact pre-PR configuration — the evaluation count too.
-// The golden values were captured from the pre-PR code on this seed.
+// earlier code: Best, Davg bits, volume, generation count, history and —
+// with the cross-generation fitness cache disabled — the evaluation
+// count too. The seed7/seed42 goldens were captured before the island
+// model existed (prePRGoldenMapping). The six-instruction goldens were
+// captured while single-population runs still had a loop of their own;
+// a single island that re-ranked its survivors at the end, as the
+// cross-island selection does, would hand back a different Best there.
 func TestGoldenSinglePopulation(t *testing.T) {
-	const goldenDavgBits = 0x3f9a41a41a41a41a
+	sixInsts := portmap.Random(rand.New(rand.NewSource(3)), portmap.RandomOptions{NumInsts: 6, NumPorts: 3, MaxUops: 2})
+	sixOpts := func(localSearch bool) Options {
+		return Options{PopulationSize: 60, MaxGenerations: 15, NumPorts: 3, VolumeObjective: true,
+			Seed: 3, FitnessCacheEntries: -1, LocalSearch: localSearch}
+	}
+	smallGolden := func(seed int64, localSearch bool) Options {
+		opts := smallOpts()
+		opts.Seed = seed
+		opts.LocalSearch = localSearch
+		opts.FitnessCacheEntries = -1 // the pre-PR service had no fitness cache
+		return opts
+	}
+	prePR := prePRGoldenMapping()
 	cases := []struct {
 		name        string
-		seed        int64
-		localSearch bool
+		hidden      *portmap.Mapping
+		opts        Options
+		want        *portmap.Mapping // compared as JSON bytes when set
+		fingerprint uint64           // Best.FingerprintAll()
+		davgBits    uint64
+		volume      int
 		generations int
 		evals       int
+		history     uint64
 	}{
-		{name: "seed7-localsearch", seed: 7, localSearch: true, generations: 32, evals: 3947},
-		{name: "seed42-evolution-only", seed: 42, localSearch: false, generations: 26, evals: 3283},
+		{name: "seed7-localsearch", hidden: hiddenMapping(), opts: smallGolden(7, true), want: prePR,
+			fingerprint: prePR.FingerprintAll(), davgBits: 0x3f9a41a41a41a41a, volume: 5,
+			generations: 32, evals: 3947, history: 0x9eca098f2f115144},
+		{name: "seed42-evolution-only", hidden: hiddenMapping(), opts: smallGolden(42, false), want: prePR,
+			fingerprint: prePR.FingerprintAll(), davgBits: 0x3f9a41a41a41a41a, volume: 5,
+			generations: 26, evals: 3283, history: 0xa2fedf97c494d9d1},
+		{name: "six-insts-localsearch", hidden: sixInsts, opts: sixOpts(true),
+			fingerprint: 0x28bee278f2b782dd, davgBits: 0x3fce8eb5b8284f52, volume: 7,
+			generations: 15, evals: 974, history: 0x92dc39b453bbf991},
+		{name: "six-insts-evolution-only", hidden: sixInsts, opts: sixOpts(false),
+			fingerprint: 0x9ae1f97d0676c44, davgBits: 0x3fd18de5ab277f44, volume: 6,
+			generations: 15, evals: 960, history: 0x92dc39b453bbf991},
 	}
-	set := measuredSet(t, hiddenMapping())
-	wantJSON := mappingJSON(t, prePRGoldenMapping())
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := smallOpts()
-			opts.Seed = tc.seed
-			opts.LocalSearch = tc.localSearch
-			opts.FitnessCacheEntries = -1 // the pre-PR service had no fitness cache
+			set := measuredSet(t, tc.hidden)
+			opts := tc.opts
 			res, err := Run(context.Background(), set, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := mappingJSON(t, res.Best); !bytes.Equal(got, wantJSON) {
-				t.Errorf("mapping diverged from pre-PR golden:\ngot:\n%s\nwant:\n%s", got, wantJSON)
+			if tc.want != nil {
+				if got, want := mappingJSON(t, res.Best), mappingJSON(t, tc.want); !bytes.Equal(got, want) {
+					t.Errorf("mapping diverged from golden:\ngot:\n%s\nwant:\n%s", got, want)
+				}
 			}
-			if bits := math.Float64bits(res.BestError); bits != goldenDavgBits {
-				t.Errorf("BestError bits = %#x, want %#x", bits, goldenDavgBits)
+			if fp := res.Best.FingerprintAll(); fp != tc.fingerprint {
+				t.Errorf("Best fingerprint = %#x, want %#x\n%s", fp, tc.fingerprint, res.Best)
 			}
-			if res.BestVolume != 5 {
-				t.Errorf("BestVolume = %d, want 5", res.BestVolume)
+			if bits := math.Float64bits(res.BestError); bits != tc.davgBits {
+				t.Errorf("BestError bits = %#x, want %#x", bits, tc.davgBits)
+			}
+			if res.BestVolume != tc.volume {
+				t.Errorf("BestVolume = %d, want %d", res.BestVolume, tc.volume)
 			}
 			if res.Generations != tc.generations {
 				t.Errorf("Generations = %d, want %d", res.Generations, tc.generations)
 			}
 			if res.FitnessEvaluations != tc.evals {
 				t.Errorf("FitnessEvaluations = %d, want %d", res.FitnessEvaluations, tc.evals)
+			}
+			if d := historyDigest(res.History); d != tc.history {
+				t.Errorf("history digest = %#x, want %#x", d, tc.history)
 			}
 
 			// The cross-generation cache must not change any result —
@@ -88,8 +135,8 @@ func TestGoldenSinglePopulation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := mappingJSON(t, cached.Best); !bytes.Equal(got, wantJSON) {
-				t.Errorf("mapping with fitness cache diverged from golden:\ngot:\n%s", got)
+			if !cached.Best.Equal(res.Best) {
+				t.Errorf("mapping with fitness cache diverged from golden:\n%s", cached.Best)
 			}
 			if cached.BestError != res.BestError || cached.BestVolume != res.BestVolume ||
 				cached.Generations != res.Generations || !reflect.DeepEqual(cached.History, res.History) {
@@ -185,6 +232,47 @@ func TestIslandsNoMigration(t *testing.T) {
 	}
 }
 
+// TestOnGenerationCadence pins when OnGeneration fires: after every
+// generation of a single island, at every migration barrier of several
+// islands, and never for islands without migration. Progress reports
+// (and the per-step timings built from them) depend on this cadence.
+func TestOnGenerationCadence(t *testing.T) {
+	set := measuredSet(t, hiddenMapping())
+	const gens = 15
+	every := make([]int, gens)
+	for i := range every {
+		every[i] = i + 1
+	}
+	cases := []struct {
+		name              string
+		islands, interval int
+		want              []int
+	}{
+		{name: "zero islands", islands: 0, want: every},
+		{name: "one island", islands: 1, want: every},
+		{name: "three islands, default migration", islands: 3, want: []int{5, 10, 15}},
+		{name: "three islands, migration off", islands: 3, interval: -1, want: nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{PopulationSize: 60, MaxGenerations: gens, NumPorts: 3, VolumeObjective: true,
+				Seed: 3, Workers: 2, Islands: tc.islands, MigrationInterval: tc.interval}
+			var got []int
+			opts.OnGeneration = func(g int) { got = append(got, g) }
+			res, err := Run(context.Background(), set, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Generations != gens {
+				t.Fatalf("Generations = %d, want %d (the cadence needs the full budget)", res.Generations, gens)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("OnGeneration calls = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
 // TestCrossGenCacheOnOffBitIdentical pins that the cross-generation
 // fitness cache only ever skips work: every result field except the
 // evaluation count is identical with the cache on and off, and on a
@@ -237,12 +325,17 @@ func TestPlanIslandsClamping(t *testing.T) {
 		{
 			name: "zero islands collapse to one",
 			mod:  func(o *Options) { o.Islands = 0 },
-			want: islandPlan{islands: 1},
+			want: islandPlan{islands: 1, sizes: []int{10}, interval: 1},
 		},
 		{
 			name: "negative islands collapse to one",
 			mod:  func(o *Options) { o.Islands = -3 },
-			want: islandPlan{islands: 1},
+			want: islandPlan{islands: 1, sizes: []int{10}, interval: 1},
+		},
+		{
+			name: "one island runs one-generation epochs and never migrates",
+			mod:  func(o *Options) { o.Islands = 1; o.MigrationInterval = 7; o.MigrationCount = 3 },
+			want: islandPlan{islands: 1, sizes: []int{10}, interval: 1},
 		},
 		{
 			name: "islands capped so each holds two individuals",
@@ -283,14 +376,12 @@ func TestPlanIslandsClamping(t *testing.T) {
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("planIslands(%+v) = %+v, want %+v", opts, got, tc.want)
 			}
-			if got.islands > 1 {
-				sum := 0
-				for _, s := range got.sizes {
-					sum += s
-				}
-				if sum != opts.PopulationSize {
-					t.Errorf("island sizes %v sum to %d, want %d", got.sizes, sum, opts.PopulationSize)
-				}
+			sum := 0
+			for _, s := range got.sizes {
+				sum += s
+			}
+			if sum != opts.PopulationSize {
+				t.Errorf("island sizes %v sum to %d, want %d", got.sizes, sum, opts.PopulationSize)
 			}
 		})
 	}
@@ -418,6 +509,15 @@ func TestMergeIslandStats(t *testing.T) {
 	// Generation 1: only island a ran it.
 	if hist[1].BestError != 0.3 || hist[1].BestVolume != 6 || hist[1].MeanError != 0.4 {
 		t.Errorf("gen 1 = %+v", hist[1])
+	}
+
+	// A single island's history comes back as is: weighting its mean by
+	// its own size would round 0.1 to (0.1*3)/3 = 0.10000000000000002.
+	solo := testIsland(0, 0.1, 0.2, 0.3)
+	solo.gens = 1
+	solo.history = []GenStats{{Generation: 0, BestError: 0.1, BestVolume: 1, MeanError: 0.1}}
+	if gens, hist := mergeIslandStats([]*island{solo}); gens != 1 || !reflect.DeepEqual(hist, solo.history) {
+		t.Errorf("single island: merged (%d, %+v), want (1, %+v)", gens, hist, solo.history)
 	}
 }
 
