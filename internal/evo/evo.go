@@ -946,8 +946,9 @@ func evaluate(ctx context.Context, svc *engine.Service, be batchEvaluator, inds 
 	}
 
 	fps := make([]uint64, len(inds))
-	batch := make(map[uint64]int, len(inds)) // fingerprint -> index into uniq
+	batch := make(map[uint64]struct{}, len(inds))
 	uniq := make([]*portmap.Mapping, 0, len(inds))
+	uniqFPs := make([]uint64, 0, len(inds))
 	for i := range inds {
 		fp := inds[i].m.FingerprintAll()
 		fps[i] = fp
@@ -961,14 +962,18 @@ func evaluate(ctx context.Context, svc *engine.Service, be batchEvaluator, inds 
 			seen[fp] = engine.Fitness{Davg: davg, Volume: inds[i].m.Volume()}
 			continue
 		}
-		batch[fp] = len(uniq)
+		batch[fp] = struct{}{}
 		uniq = append(uniq, inds[i].m)
+		uniqFPs = append(uniqFPs, fp)
 	}
 	fits := make([]engine.Fitness, len(uniq))
 	if err := be.EvaluateAll(ctx, uniq, fits); err != nil {
 		return err
 	}
-	for fp, k := range batch {
+	// Batch order, not map order: of two new fingerprints that share a
+	// slot of the direct-mapped fitness cache the later one survives, so
+	// later hits, and the evaluation count, repeat run to run.
+	for k, fp := range uniqFPs {
 		seen[fp] = fits[k]
 		svc.FitnessCachePut(fp, fits[k].Davg)
 	}

@@ -571,3 +571,30 @@ func TestBatchEvaluatorMatchesService(t *testing.T) {
 		}
 	}
 }
+
+// TestFitnessEvaluationsRepeat pins that identical runs with the
+// cross-generation fitness cache on evaluate the same number of
+// candidates. The cache is direct-mapped, so which of two colliding
+// fingerprints survives decides later hits; evaluate used to store a
+// batch in map order, and this configuration counted 832 or 833
+// evaluations (837 or 838 with local search) from run to run.
+func TestFitnessEvaluationsRepeat(t *testing.T) {
+	set := measuredSet(t, hiddenMapping())
+	for _, tc := range []struct {
+		localSearch bool
+		evals       int
+	}{{false, 832}, {true, 837}} {
+		opts := Options{PopulationSize: 60, MaxGenerations: 15, NumPorts: 3, VolumeObjective: true,
+			Seed: 3, LocalSearch: tc.localSearch}
+		for rep := 0; rep < 4; rep++ {
+			res, err := Run(context.Background(), set, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.FitnessEvaluations != tc.evals {
+				t.Errorf("local search %v, repeat %d: FitnessEvaluations = %d, want %d",
+					tc.localSearch, rep, res.FitnessEvaluations, tc.evals)
+			}
+		}
+	}
+}

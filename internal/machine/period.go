@@ -1,29 +1,50 @@
 package machine
 
 import (
-	"math"
 	"math/bits"
+
+	"pmevo/internal/portmap"
 )
 
 // Steady-state period detection.
 //
-// The simulator is deterministic, so its execution is a function of the
-// current state alone — and that state can be expressed relative to the
-// current cycle: every comparison Run performs is of the form
-// "completion/busy cycle > now" or "load[i] < load[j]", never against an
-// absolute cycle. Two top-of-cycle states whose cycle-relative encodings
-// are equal therefore evolve identically (shifted in time), which makes
-// execution exactly periodic from the first recurrence onward.
+// The simulator is deterministic, and every comparison Run performs is
+// of the form "completion/busy cycle > now" or, under LeastLoaded,
+// "load[i] < load[j]" — never against an absolute cycle. The state
+// detection hashes is everything but the per-port loads, expressed
+// relative to the current cycle. Two top-of-cycle states with equal
+// hashes make the same moves as long as the scheduler makes the same
+// port choices, so the loads are handled by an acceptance test instead
+// of the hash: absolute loads grow without bound, and within a group of
+// ports that share µops their differences can grow too (a port that
+// also serves a µop no other port takes falls ever further behind), so
+// no load encoding recurs on such kernels although the scheduler's
+// choices already repeat.
 //
-// detector hashes a canonical cycle-relative snapshot at the top of each
-// cycle and records (iteration, cycle, statistics) per distinct state.
-// When a state recurs, Run extrapolates: with period P iterations / C
-// cycles, the remaining iterations split into k whole periods plus a
-// remainder r < P; Run simulates the remainder (and the window drain)
-// once and adds k-1 copies of the per-period statistic deltas. The
-// result is bit-identical to full simulation — the arithmetic is exact —
-// up to the ~2^-128 odds of a two-lane hash collision, the same regime
-// as the engine's fingerprint memo.
+// Acceptance. While detecting, each LeastLoaded issue records which
+// eligible ports its choice passed over: passed[c] gains port e when the
+// µop went to c although e was free and allowed. A choice of c over e
+// means load[c] < load[e] (e < c) or load[c] <= load[e] (e > c, lower
+// index breaks ties). Let D be the per-port load growth between an
+// earlier occurrence of the state and now. If D[c] <= D[e] for every
+// recorded pair over that interval, then the next interval, whose loads
+// are the previous ones plus D at every decision, makes every choice
+// the same way (by induction over its decisions); it therefore grows
+// the loads by D again, and so on: execution from the earlier
+// occurrence on is exactly periodic, with P iterations and C cycles per
+// period. The same hash can recur with loads that fail the test, so the
+// table keeps every occurrence, and a hit walks them newest-first with a
+// running OR of the intervals' choice masks until one passes.
+//
+// Extrapolation. With the period accepted, the remaining iterations
+// split into k whole periods plus a remainder r in [1, P]; Run skips
+// k-1 periods arithmetically, adding (k-1)·D to the loads, and simulates
+// the remainder and the window drain. The drain makes choices that no
+// recorded period made, which is why the loads must carry the skipped
+// periods' growth before the tail is simulated, not only in the result.
+// The result is bit-identical to full simulation — the arithmetic is
+// exact — up to the ~2^-128 odds of a two-lane hash collision, the same
+// regime as the engine's fingerprint memo.
 //
 // The canonical encoding:
 //
@@ -37,25 +58,27 @@ import (
 //     dispatching), so first-encounter numbering over the window + the
 //     dispatch stream names every pending cell deterministically;
 //   - per-port busy deltas max(busyUntil-now, 0);
-//   - for the LeastLoaded policy, per-port issue counts normalized
-//     within port *components*: the scheduler only ever compares loads
-//     of ports that co-occur in some µop's allowed set (transitively),
-//     so loads are encoded relative to the minimum of their component —
-//     absolute counts grow without bound, but steady-state deltas within
-//     a component are periodic;
 //   - the register file, folded commutatively (registers resolved to the
 //     always-ready state are skipped — they are indistinguishable from
 //     never-written registers).
 type detector struct {
-	table map[[2]uint64]periodRec
-	// arena stores per-snapshot port-µop counts; periodRec.portOff
-	// indexes into it.
-	arena []int64
-
-	// comp[k] is port k's component id for load normalization; compMin
-	// is per-snapshot scratch for the component minima.
-	comp    []int32
-	compMin []int64
+	// table maps a state hash to its newest occurrence in snaps; older
+	// occurrences chain through periodRec.prev.
+	table map[[2]uint64]int32
+	snaps []periodRec
+	// loads[i*k:(i+1)*k] is snapshot i's per-port load vector, and
+	// passed[i*k:(i+1)*k] the choice masks of the interval that ended
+	// at snapshot i (k ports).
+	loads  []int64
+	passed []portmap.PortSet
+	// cur collects the choice masks of the interval since the last
+	// snapshot: cur[c] holds every port a µop issued to c passed over.
+	cur []portmap.PortSet
+	// acc and delta are scratch for a hit: the running OR of the
+	// walked intervals' masks, and the load growth D over the interval
+	// being tested (left holding the accepted occurrence's D).
+	acc   []portmap.PortSet
+	delta []int64
 
 	// Pending-cell identity numbering, reset per snapshot via epoch.
 	// The epoch counter is monotonic across the detector's whole
@@ -68,11 +91,11 @@ type detector struct {
 	nextID    int32
 }
 
-// periodRec remembers the first occurrence of a state.
+// periodRec remembers one occurrence of a state.
 type periodRec struct {
-	iter    int
-	cycle   int64
-	portOff int
+	prev  int32 // older occurrence of the same hash, -1 if none
+	iter  int
+	cycle int64
 
 	instructions int64
 	uops         int64
@@ -109,52 +132,26 @@ func (l *lanes) add(x uint64) {
 	l.b = mixB(l.b ^ (x + 0x9e3779b97f4a7c15))
 }
 
-// start prepares the detector for a run: it clears the recurrence table
-// and computes the port components of the body's spec set (union-find
-// over every µop's allowed-port set).
-func (d *detector) start(s *sim) {
+// start prepares the detector for a run on n ports.
+func (d *detector) start(n int) {
 	if d.table == nil {
-		d.table = make(map[[2]uint64]periodRec)
+		d.table = make(map[[2]uint64]int32)
 	} else {
 		clear(d.table)
 	}
-	d.arena = d.arena[:0]
+	d.snaps = d.snaps[:0]
+	d.loads = d.loads[:0]
+	d.passed = d.passed[:0]
 	// d.epoch deliberately NOT reset: see the field comment.
-
-	n := s.m.cfg.NumPorts
-	if cap(d.comp) < n {
-		d.comp = make([]int32, n)
-		d.compMin = make([]int64, n)
+	if cap(d.cur) < n {
+		d.cur = make([]portmap.PortSet, n)
+		d.acc = make([]portmap.PortSet, n)
+		d.delta = make([]int64, n)
 	}
-	d.comp = d.comp[:n]
-	d.compMin = d.compMin[:n]
-	for k := 0; k < n; k++ {
-		d.comp[k] = int32(k)
-	}
-	var find func(k int32) int32
-	find = func(k int32) int32 {
-		for d.comp[k] != k {
-			d.comp[k] = d.comp[d.comp[k]] // path halving
-			k = d.comp[k]
-		}
-		return k
-	}
-	for _, in := range s.body {
-		for _, u := range s.m.specs[in.Spec].Uops {
-			root := int32(-1)
-			for v := uint64(u.Ports); v != 0; v &= v - 1 {
-				p := find(int32(bits.TrailingZeros64(v)))
-				if root < 0 {
-					root = p
-				} else {
-					d.comp[p] = root
-				}
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		d.comp[k] = find(int32(k))
-	}
+	d.cur = d.cur[:n]
+	d.acc = d.acc[:n]
+	d.delta = d.delta[:n]
+	clear(d.cur)
 }
 
 // encodeCell canonically encodes one completion cell relative to the
@@ -178,10 +175,9 @@ func (d *detector) encodeCell(s *sim, ci int32) uint64 {
 	return uint64(d.cellID[ci])<<1 | 1
 }
 
-// check hashes the current top-of-cycle state. If the state was seen
-// before, it returns that occurrence; otherwise it records the state.
-// Only called while !done(), so the dispatch-stream fields are live.
-func (d *detector) check(s *sim) (periodRec, bool) {
+// hash returns the canonical hash of the current top-of-cycle state,
+// loads excluded.
+func (d *detector) hash(s *sim) [2]uint64 {
 	sc := s.sc
 	if len(d.cellEpoch) < len(sc.cells) {
 		grown := make([]int64, len(sc.cells)+len(sc.cells)/2)
@@ -196,27 +192,8 @@ func (d *detector) check(s *sim) (periodRec, bool) {
 
 	var h lanes
 	h.add(uint64(s.bodyIdx)<<20 | uint64(s.uopIdx))
-
-	cfg := &s.m.cfg
-	for k := 0; k < cfg.NumPorts; k++ {
-		delta := sc.busy[k] - s.cycle
-		if delta < 0 {
-			delta = 0
-		}
-		h.add(uint64(delta))
-	}
-	if cfg.Policy == LeastLoaded {
-		for k := 0; k < cfg.NumPorts; k++ {
-			d.compMin[d.comp[k]] = math.MaxInt64
-		}
-		for k := 0; k < cfg.NumPorts; k++ {
-			if c := d.comp[k]; sc.load[k] < d.compMin[c] {
-				d.compMin[c] = sc.load[k]
-			}
-		}
-		for k := 0; k < cfg.NumPorts; k++ {
-			h.add(uint64(sc.load[k] - d.compMin[d.comp[k]]))
-		}
+	for _, b := range sc.busy {
+		h.add(uint64(max(b-s.cycle, 0)))
 	}
 
 	h.add(uint64(len(sc.window)))
@@ -254,21 +231,66 @@ func (d *detector) check(s *sim) (periodRec, bool) {
 	}
 	h.add(ra)
 	h.add(rb)
+	return [2]uint64{h.a, h.b}
+}
 
-	key := [2]uint64{h.a, h.b}
-	if rec, ok := d.table[key]; ok {
-		return rec, true
+// check looks the current top-of-cycle state up. If an earlier
+// occurrence of it starts an exact period (see the file comment), check
+// returns that occurrence, with d.delta holding the per-port load growth
+// per period; otherwise it records the state and the choice masks of
+// the interval that ends here. Only called while !done(), so the
+// dispatch-stream fields are live.
+func (d *detector) check(s *sim) (periodRec, bool) {
+	key := d.hash(s)
+	load := s.sc.load
+	k := len(load)
+	n := int32(len(d.snaps))
+	newest, seen := d.table[key]
+	if seen {
+		copy(d.acc, d.cur)
+		lo := n // d.acc covers the intervals ending at snapshots lo..n
+		for i := newest; i >= 0; i = d.snaps[i].prev {
+			for ; lo > i+1; lo-- {
+				for c, m := range d.passed[int(lo-1)*k : int(lo)*k] {
+					d.acc[c] |= m
+				}
+			}
+			if d.accepts(load, d.loads[int(i)*k:int(i+1)*k]) {
+				return d.snaps[i], true
+			}
+		}
+	} else {
+		newest = -1
 	}
-	off := len(d.arena)
-	d.arena = append(d.arena, sc.portUops...)
-	d.table[key] = periodRec{
+	d.table[key] = n
+	d.snaps = append(d.snaps, periodRec{
+		prev:         newest,
 		iter:         s.iter,
 		cycle:        s.cycle,
-		portOff:      off,
 		instructions: s.instructions,
 		uops:         s.uops,
 		windowFull:   s.windowFull,
 		occupancy:    s.occupancy,
-	}
+	})
+	d.loads = append(d.loads, load...)
+	d.passed = append(d.passed, d.cur...)
+	clear(d.cur)
 	return periodRec{}, false
+}
+
+// accepts sets d.delta to the load growth from recLoad to load and
+// reports whether no choice in d.acc went to a port whose load grew
+// faster than that of a port it passed over.
+func (d *detector) accepts(load, recLoad []int64) bool {
+	for p := range load {
+		d.delta[p] = load[p] - recLoad[p]
+	}
+	for c, m := range d.acc {
+		for v := uint64(m); v != 0; v &= v - 1 {
+			if d.delta[c] > d.delta[bits.TrailingZeros64(v)] {
+				return false
+			}
+		}
+	}
+	return true
 }

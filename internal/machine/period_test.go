@@ -285,8 +285,7 @@ func TestBaselineMachineMatches(t *testing.T) {
 }
 
 // TestRunSteadyStateAllocationFree pins the scratch-pool property: after
-// warmup, Run allocates only its Result (the PortUops slice and, when a
-// period is found, the per-period port deltas).
+// warmup, Run allocates only its Result's PortUops slice.
 func TestRunSteadyStateAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")

@@ -26,14 +26,15 @@ type flight struct {
 	cell    int32 // completion cell of this µop's instruction
 	left    int32 // remaining-µop counter of this µop's instruction
 
-	// wakeAt caches the µop's earliest possible issue cycle: the maximum
-	// of its source completion cells as of the last inspection. While
-	// any source is unresolved (producer not yet issued) the maximum is
-	// notReady and the sources are rescanned when the flight is next
-	// considered; once all sources carry final values the bound is exact
-	// and the issue scan skips the flight with one comparison. Purely
-	// derived state: it never changes an issue decision, so it is
-	// excluded from period-detection snapshots.
+	// wakeAt caches the µop's earliest possible issue cycle (wakeOf):
+	// the maximum of its source completion cells once all of them are
+	// written, an exact bound the issue scan tests with one comparison.
+	// While a source is unresolved (its producer has not issued) it is
+	// notReady+ci, naming the unresolved cell ci, so a flight that is
+	// still blocked costs one load and the sources are rescanned only
+	// once that cell is written. Purely derived state: it never changes
+	// an issue decision, so it is excluded from period-detection
+	// snapshots.
 	wakeAt int64
 }
 
@@ -43,15 +44,19 @@ type runScratch struct {
 	// instruction's last µop issues, then issue cycle + latency.
 	// cells[0] is the shared always-ready cell for never-written
 	// registers.
-	cells    []int64
-	lefts    []int32
-	srcIdx   []int32
-	window   []flight
-	busy     []int64 // per-port busy-until cycle (exclusive)
-	load     []int64 // per-port µops issued so far
-	portUops []int64
-	reg      map[int]int32
-	det      detector
+	cells  []int64
+	lefts  []int32
+	srcIdx []int32
+	window []flight
+	busy   []int64 // per-port busy-until cycle (exclusive)
+	// load[k] counts the µops issued on port k, including those of the
+	// periods a recurrence skipped (onPeriodFound): LeastLoaded compares
+	// these counts, so the skipped periods' growth must be in them
+	// before the tail is simulated, and the Result reports them as
+	// PortUops.
+	load []int64
+	reg  map[int]int32
+	det  detector
 }
 
 func (m *Machine) getScratch() *runScratch {
@@ -80,7 +85,7 @@ type sim struct {
 	curSrcLen int32
 	curCell   int32
 	curLeft   int32
-	curWake   int64 // wakeAt seed for the instruction's flights
+	curWake   int64 // wakeAt seed for the instruction's flights (wakeOf)
 
 	lastIssue int64
 
@@ -110,12 +115,10 @@ type sim struct {
 
 	// Period extrapolation state, filled in when a recurrence is found:
 	// the final result gains extraPeriods copies of the per-period stat
-	// deltas.
+	// deltas (the loads already carry theirs).
 	extraPeriods, periodCycles int64
 	dInstructions, dUops       int64
 	dWindowFull, dOccupancy    int64
-	dPortUops                  []int64
-	recIter                    int // first occurrence of the period
 	periodIters                int // P
 
 	// Warmup fork (runPair): when the dispatch stream crosses iteration
@@ -171,16 +174,11 @@ func (s *sim) reset() {
 	if cap(sc.busy) < n {
 		sc.busy = make([]int64, n)
 		sc.load = make([]int64, n)
-		sc.portUops = make([]int64, n)
 	}
 	sc.busy = sc.busy[:n]
 	sc.load = sc.load[:n]
-	sc.portUops = sc.portUops[:n]
-	for k := 0; k < n; k++ {
-		sc.busy[k] = 0
-		sc.load[k] = 0
-		sc.portUops[k] = 0
-	}
+	clear(sc.busy)
+	clear(sc.load)
 	clear(sc.reg)
 	s.lastIssue = -1
 	s.lastSnapIter = -1
@@ -192,7 +190,7 @@ func (s *sim) reset() {
 	}
 	s.budget = budget
 	if s.detecting {
-		s.sc.det.start(s)
+		s.sc.det.start(n)
 	}
 	s.eventSkip = !s.m.cfg.EventDrivenDisabled
 }
@@ -219,12 +217,7 @@ func (s *sim) startInst() {
 		s.sc.srcIdx = append(s.sc.srcIdx, s.cellFor(r))
 	}
 	s.curSrcLen = int32(len(s.sc.srcIdx)) - s.curSrcOff
-	s.curWake = 0
-	for _, ci := range s.sc.srcIdx[s.curSrcOff:] {
-		if v := s.sc.cells[ci]; v > s.curWake {
-			s.curWake = v
-		}
-	}
+	s.curWake = wakeOf(s.sc.cells, s.sc.srcIdx[s.curSrcOff:])
 	s.curCell = int32(len(s.sc.cells))
 	s.sc.cells = append(s.sc.cells, notReady)
 	s.curLeft = int32(len(s.sc.lefts))
@@ -250,7 +243,6 @@ func (s *sim) capture(dst *sim, dstSc *runScratch) {
 	dstSc.window = append(dstSc.window[:0], s.sc.window...)
 	dstSc.busy = append(dstSc.busy[:0], s.sc.busy...)
 	dstSc.load = append(dstSc.load[:0], s.sc.load...)
-	dstSc.portUops = append(dstSc.portUops[:0], s.sc.portUops...)
 	if reg == nil {
 		reg = make(map[int]int32, len(s.sc.reg))
 	} else {
@@ -266,11 +258,15 @@ func (s *sim) capture(dst *sim, dstSc *runScratch) {
 	dst.forkAt = -1
 }
 
-// onPeriodFound applies the extrapolation bookkeeping at a recurrence:
-// truncate the main target to the tail remainder and, if a warmup fork
-// is still pending (runPair with the warmup target beyond the current
-// iteration), capture it here with its own tail remainder.
-func (s *sim) onPeriodFound(rec periodRec) {
+// onPeriodFound applies the extrapolation bookkeeping at a recurrence
+// whose per-period load growth is d: truncate the main target to the
+// tail remainder and, if a warmup fork is still pending (runPair with
+// the warmup target beyond the current iteration), capture it here with
+// its own tail remainder. Each run's loads gain the growth of the
+// periods it skips before its tail is simulated: the window drain at
+// the end makes choices no period recorded, so they must see the loads
+// a full simulation would.
+func (s *sim) onPeriodFound(rec periodRec, d []int64) {
 	P := s.iter - rec.iter
 	C := s.cycle - rec.cycle
 	if P <= 0 {
@@ -297,16 +293,11 @@ func (s *sim) onPeriodFound(rec periodRec) {
 	extra, r := tailFor(s.iters)
 	s.extraPeriods = extra
 	s.periodCycles = C
-	s.recIter = rec.iter
 	s.periodIters = P
 	s.dInstructions = s.instructions - rec.instructions
 	s.dUops = s.uops - rec.uops
 	s.dWindowFull = s.windowFull - rec.windowFull
 	s.dOccupancy = s.occupancy - rec.occupancy
-	s.dPortUops = make([]int64, s.m.cfg.NumPorts)
-	for p := range s.dPortUops {
-		s.dPortUops[p] = s.sc.portUops[p] - s.sc.det.arena[rec.portOff+p]
-	}
 
 	if s.forkAt > s.iter && s.fork == nil {
 		// The warmup target lies beyond the truncated tail: extrapolate
@@ -320,9 +311,18 @@ func (s *sim) onPeriodFound(rec periodRec) {
 		f.iters = s.iter + fr
 		f.forkMid = false
 		f.forkExtraCy = fExtra * C
+		addPeriods(f.sc.load, d, fExtra)
 		s.fork = f
 	}
+	addPeriods(s.sc.load, d, extra)
 	s.iters = s.iter + r
+}
+
+// addPeriods adds k periods' load growth d to load.
+func addPeriods(load, d []int64, k int64) {
+	for p, dp := range d {
+		load[p] += k * dp
+	}
 }
 
 // dispatchStage moves up to DispatchWidth µops into the window, forking
@@ -375,60 +375,87 @@ func (s *sim) dispatchStage() int {
 // whether the run is complete.
 func (s *sim) finishCycle(dispatched int) bool {
 	cfg := &s.m.cfg
-	if !s.done() && dispatched < cfg.DispatchWidth && len(s.sc.window) >= cfg.WindowSize {
+	sc := s.sc
+	if !s.done() && dispatched < cfg.DispatchWidth && len(sc.window) >= cfg.WindowSize {
 		s.windowFull++
 	}
-	s.occupancy += int64(len(s.sc.window))
+	s.occupancy += int64(len(sc.window))
 
-	var issuedPorts portmap.PortSet
-	w := 0
-	cells := s.sc.cells
-	for fi := range s.sc.window {
-		f := &s.sc.window[fi]
-		if f.wakeAt > s.cycle {
-			if f.wakeAt != notReady {
-				// All sources resolved to a future completion: the bound
-				// is exact, skip without rescanning.
-				s.sc.window[w] = *f
-				w++
-				continue
-			}
-			// An unresolved source at the last look; rescan. The maximum
-			// lands back on notReady while any producer is un-issued
-			// (resolved completions are always far below it).
-			wake := int64(0)
-			for _, ci := range s.sc.srcIdx[f.srcOff : f.srcOff+f.srcLen] {
-				if v := cells[ci]; v > wake {
-					wake = v
-				}
-			}
-			f.wakeAt = wake
-			if wake > s.cycle {
-				s.sc.window[w] = *f
-				w++
-				continue
-			}
+	// free holds the ports that can still accept a µop this cycle: not
+	// busy, and not yet issued to (block >= 1, so an issue makes its
+	// port busy past this cycle).
+	var free portmap.PortSet
+	for k, b := range sc.busy {
+		if b <= s.cycle {
+			free |= portmap.PortSet(1) << k
 		}
-		port := s.m.pickPort(f.ports, issuedPorts, s.sc.busy, s.sc.load, s.cycle)
-		if port >= 0 {
-			issuedPorts = issuedPorts.With(port)
-			s.sc.busy[port] = s.cycle + int64(f.block)
-			s.sc.load[port]++
-			s.sc.portUops[port]++
+	}
+	// Only LeastLoaded choices depend on the loads, so only they are
+	// recorded for the period acceptance test (period.go).
+	record := s.detecting && cfg.Policy == LeastLoaded
+	window := sc.window
+	w, fi := 0, 0
+	for ; fi < len(window) && free != 0; fi++ {
+		f := &window[fi]
+		if eligible := f.ports & free; eligible != 0 && s.awake(f) {
+			port := s.m.pickPort(eligible, sc.load)
+			if record {
+				sc.det.cur[port] |= eligible &^ (portmap.PortSet(1) << port)
+			}
+			free &^= portmap.PortSet(1) << port
+			sc.busy[port] = s.cycle + int64(f.block)
+			sc.load[port]++
 			s.uops++
 			s.lastIssue = s.cycle
-			s.sc.lefts[f.left]--
-			if s.sc.lefts[f.left] == 0 {
-				cells[f.cell] = s.cycle + int64(f.latency)
+			sc.lefts[f.left]--
+			if sc.lefts[f.left] == 0 {
+				sc.cells[f.cell] = s.cycle + int64(f.latency)
 			}
 			continue
 		}
-		s.sc.window[w] = *f
+		if w != fi {
+			window[w] = *f
+		}
 		w++
 	}
-	s.sc.window = s.sc.window[:w]
+	// Once no port is free, nothing later in the window can issue: the
+	// rest slides down in one copy.
+	if w != fi {
+		copy(window[w:], window[fi:])
+	}
+	sc.window = window[:w+len(window)-fi]
 
-	return s.done() && len(s.sc.window) == 0
+	return s.done() && len(sc.window) == 0
+}
+
+// wakeOf returns the wakeAt bound of a µop with the given source cells:
+// the latest source completion cycle, or notReady+ci if source cell ci
+// is still unresolved.
+func wakeOf(cells []int64, srcs []int32) int64 {
+	wake := int64(0)
+	for _, ci := range srcs {
+		v := cells[ci]
+		if v == notReady {
+			return notReady + int64(ci)
+		}
+		wake = max(wake, v)
+	}
+	return wake
+}
+
+// refresh re-derives f.wakeAt once the unresolved source it names has
+// been written.
+func (s *sim) refresh(f *flight) {
+	if f.wakeAt >= notReady && s.sc.cells[f.wakeAt-notReady] != notReady {
+		f.wakeAt = wakeOf(s.sc.cells, s.sc.srcIdx[f.srcOff:f.srcOff+f.srcLen])
+	}
+}
+
+// awake reports whether every source of f has completed by the current
+// cycle.
+func (s *sim) awake(f *flight) bool {
+	s.refresh(f)
+	return f.wakeAt <= s.cycle
 }
 
 // watchdog bounds the simulated cycle count. The top-of-loop check is
@@ -456,14 +483,14 @@ func (s *sim) loop() error {
 			} else if s.cycle >= s.budget {
 				s.detecting = false
 			} else if rec, ok := s.sc.det.check(s); ok {
-				// The state at this top-of-cycle recurred: execution
-				// from here replicates execution from the first
-				// occurrence, shifted by C cycles per P iterations.
-				// Simulate the remainder once and account for the
-				// skipped periods arithmetically. This is exact: the
-				// simulator's evolution depends only on cycle-relative
-				// state, which is identical at both occurrences.
-				s.onPeriodFound(rec)
+				// The state at this top-of-cycle recurred, and the
+				// scheduler's choices since the earlier occurrence
+				// repeat forever: execution from here replicates
+				// execution from that occurrence, shifted by C cycles
+				// and the loads by D per P iterations. Simulate the
+				// remainder once and account for the skipped periods
+				// arithmetically (see period.go).
+				s.onPeriodFound(rec, s.sc.det.delta)
 				s.detecting = false
 			}
 		}
@@ -526,25 +553,14 @@ func (s *sim) loop() error {
 // newly taken and no cell newly written this cycle.
 func (s *sim) nextEventCycle() int64 {
 	sc := s.sc
-	cells := sc.cells
 	next := int64(notReady)
 	for fi := range sc.window {
 		f := &sc.window[fi]
-		wake := f.wakeAt
-		if wake == notReady {
-			// Same rescan finishCycle performs; caching the result is
-			// safe because wakeAt is derived state and cells cannot
-			// change before the next issue.
-			wake = 0
-			for _, ci := range sc.srcIdx[f.srcOff : f.srcOff+f.srcLen] {
-				if v := cells[ci]; v > wake {
-					wake = v
-				}
-			}
-			f.wakeAt = wake
-			if wake == notReady {
-				continue
-			}
+		// The same refresh finishCycle performs; it is safe here because
+		// wakeAt is derived state.
+		s.refresh(f)
+		if f.wakeAt >= notReady {
+			continue
 		}
 		minBusy := int64(notReady)
 		for v := uint64(f.ports); v != 0; v &= v - 1 {
@@ -556,11 +572,7 @@ func (s *sim) nextEventCycle() int64 {
 				}
 			}
 		}
-		t := wake
-		if minBusy > t {
-			t = minBusy
-		}
-		if t < next {
+		if t := max(f.wakeAt, minBusy); t < next {
 			next = t
 		}
 	}
@@ -591,10 +603,7 @@ func (s *sim) run() (Result, error) {
 		DetectedPeriodIters: s.periodIters,
 		SkippedCycles:       s.skipped,
 	}
-	copy(res.PortUops, s.sc.portUops)
-	for p := range s.dPortUops {
-		res.PortUops[p] += s.extraPeriods * s.dPortUops[p]
-	}
+	copy(res.PortUops, s.sc.load)
 	return res, nil
 }
 
