@@ -21,11 +21,10 @@
 // identical output (up to 1e-9) on the Table 1 configurations.
 //
 // -cache-dir warm-starts the persistent caches: the kernel-simulation
-// cache is loaded before any experiment runs and spilled on exit, and
-// the fitness experiment additionally round-trips the engine's
-// throughput memo. A second invocation with the same -cache-dir
-// reports disk-warm hit rates; results are bit-identical to cold runs
-// (the caches hold pure functions of their keys).
+// cache is loaded before any experiment runs and spilled on exit. A
+// second invocation with the same -cache-dir reports disk-warm hit
+// rates; results are bit-identical to cold runs (the caches hold pure
+// functions of their keys).
 //
 // -json writes one machine-readable BENCH_<experiment>.json per
 // experiment, so the performance trajectory of the repository can be
@@ -74,7 +73,7 @@ func main() {
 	csvDir := flag.String("csv", "", "directory to write CSV result files into (optional)")
 	jsonDir := flag.String("json", "", "directory to write machine-readable BENCH_*.json records into (optional)")
 	cacheDir := flag.String("cache-dir", "",
-		"directory for persistent warm-start caches (kernel-simulation cache, fitness memo); loaded at start, spilled at exit")
+		"directory for persistent warm-start caches (kernel-simulation cache); loaded at start, spilled at exit")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
 
@@ -99,8 +98,7 @@ func main() {
 	// it again on exit — including error exits (fatalf), so a late
 	// driver failure cannot discard simulation work earlier drivers paid
 	// for. Load never fails into results — a missing or damaged file
-	// just cold-starts (the fitness memo is handled set-locally inside
-	// RunFitnessBench).
+	// just cold-starts.
 	ctx := context.Background()
 	if *cacheDir != "" {
 		measure.WarmStartSimCache(*cacheDir, logf)
@@ -179,7 +177,7 @@ func main() {
 	if want["fitness"] {
 		progress("running fitness-evaluation benchmark (cached vs uncached)")
 		start := time.Now()
-		res, err := eval.RunFitnessBench(ctx, scale, *cacheDir)
+		res, err := eval.RunFitnessBench(ctx, scale)
 		if err != nil {
 			fatalf("fitness: %v", err)
 		}
@@ -190,12 +188,6 @@ func main() {
 			"evals_per_sec_uncached": res.Uncached.EvalsPerSec,
 			"speedup":                res.Speedup(),
 			"evaluations":            float64(res.Cached.Evaluations),
-			"memo_hits":              float64(res.Cached.MemoHits),
-			"memo_misses":            float64(res.Cached.MemoMisses),
-			"memo_warm_hits":         float64(res.Cached.MemoWarmHits),
-			"memo_warm_entries":      float64(res.WarmEntries),
-			"memo_entries":           float64(res.Cached.MemoEntries),
-			"memo_resizes":           float64(res.Cached.MemoResizes),
 			"delta_evals":            float64(res.Cached.DeltaEvals),
 			"delta_exps_skipped":     float64(res.Cached.DeltaExpsSkipped),
 		})

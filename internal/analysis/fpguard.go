@@ -12,7 +12,7 @@ import (
 // mutators (SetDecomp, SetUopCount, RemoveUopAt, InsertUopAt, AddUop).
 // A direct write to m.Decomp leaves the cached per-instruction
 // fingerprints stale, which silently poisons every fingerprint-keyed
-// cache (throughput memo, fitness cache, kernel-sim cache) downstream.
+// cache (unit tables, fitness cache, kernel-sim cache) downstream.
 type fpguard struct{}
 
 func (*fpguard) Name() string { return "fpguard" }

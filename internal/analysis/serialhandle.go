@@ -8,8 +8,8 @@ import (
 
 // serialhandle enforces the documented-serial discipline: a type whose
 // declaration carries a //pmevo:serial doc tag (engine.BatchEvaluator
-// first — it owns draw-counted RNG state and a memo epoch that only one
-// goroutine may advance) hands out values that must stay confined to
+// first — it owns private evaluation scratch that only one goroutine
+// may use) hands out values that must stay confined to
 // the goroutine that created them. The analyzer flags the three ways a
 // handle crosses goroutines: captured by (or passed to) a go
 // statement, sent on a channel, or stored through a non-local path —

@@ -1,12 +1,12 @@
 // Package cachestore persists cachetable.Table contents between
 // processes: a versioned, checksummed, bounded, atomically-written
 // on-disk spill format. It is the warm-start layer under the
-// measurement harness's kernel-simulation cache and the engine's
-// throughput memo — repeated inference on the same ISA reloads pure,
-// expensively derived values (noiseless steady-state cycles,
-// per-experiment bottleneck throughputs) instead of re-deriving them —
-// and, since PR 8, the container for evolution checkpoints (opaque
-// blobs under the same framing).
+// measurement harness's kernel-simulation cache and period hints and
+// the engine's cross-generation fitness cache — repeated inference on
+// the same ISA reloads pure, expensively derived values (noiseless
+// steady-state cycles, whole-mapping Davg) instead of re-deriving them
+// — and the container for evolution checkpoints (opaque blobs under the
+// same framing).
 //
 // The store is safe by construction:
 //
@@ -18,7 +18,7 @@
 //     keys, so a loaded entry can change timing but never results.
 //   - Files carry a format version, a consumer schema tag, and a
 //     caller-supplied content key (e.g. the fingerprint of the
-//     experiment set a memo was built against); any mismatch reads as
+//     experiment set a fitness cache was built against); any mismatch reads as
 //     empty. Consumers whose keys are already self-versioning (the
 //     kernel cache hashes the machine fingerprint into every key) use a
 //     fixed content key.
@@ -51,10 +51,12 @@ import (
 )
 
 // Schema tags identify the consumer that wrote a file; a file is only
-// ever loaded by the schema that wrote it.
+// ever loaded by the schema that wrote it. Tag 2 is retired and stays
+// reserved: it marked the engine's per-experiment throughput memo
+// (fitness-memo.pmc), and no later schema may reuse it, so such a file
+// never decodes as another schema.
 const (
 	SchemaSimCache      uint32 = 1 // measure: kernel-simulation cache
-	SchemaFitnessMemo   uint32 = 2 // engine: per-experiment throughput memo
 	SchemaPeriodHints   uint32 = 3 // measure: per-body steady-state period hints
 	SchemaEvoCheckpoint uint32 = 4 // evo: checkpoint blob (populations, RNG, counters)
 	SchemaFitnessCache  uint32 = 5 // engine: cross-generation fitness cache
@@ -95,8 +97,8 @@ const formatVersion uint32 = 1
 
 // MaxFileEntries bounds both what Save writes and what Load accepts:
 // 2^20 entries × 16 bytes = 16 MiB, comfortably above every bounded
-// in-memory table (the kernel cache has 2^16 slots, the memo ceiling is
-// 2^20).
+// in-memory table (the kernel cache and the default fitness cache have
+// 2^16 slots).
 const MaxFileEntries = 1 << 20
 
 // MaxBlobBytes bounds blob payloads (SaveBlob/LoadBlob) the same way

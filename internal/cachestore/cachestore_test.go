@@ -185,7 +185,6 @@ var allSchemas = []struct {
 	schema uint32
 }{
 	{"SchemaSimCache", SchemaSimCache},
-	{"SchemaFitnessMemo", SchemaFitnessMemo},
 	{"SchemaPeriodHints", SchemaPeriodHints},
 	{"SchemaEvoCheckpoint", SchemaEvoCheckpoint},
 	{"SchemaFitnessCache", SchemaFitnessCache},
@@ -233,17 +232,31 @@ func TestDamageMatrixCoversEverySchema(t *testing.T) {
 }
 
 // TestLoadRejectsMismatchedIdentity: a structurally valid file written
-// by another consumer or against other inputs must read as empty.
+// by another consumer or against other inputs must read as empty — and
+// so must a spill under the retired tag 2 (the engine's old throughput
+// memo), under every live schema.
 func TestLoadRejectsMismatchedIdentity(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.pmc")
 	if err := Save(path, SchemaSimCache, 0xabc, sampleEntries(4)); err != nil {
 		t.Fatal(err)
 	}
-	if entries, err := Load(path, SchemaFitnessMemo, 0xabc); len(entries) != 0 || !errors.Is(err, ErrSchema) {
+	if entries, err := Load(path, SchemaFitnessCache, 0xabc); len(entries) != 0 || !errors.Is(err, ErrSchema) {
 		t.Fatalf("wrong schema: %d entries, err %v", len(entries), err)
 	}
 	if entries, err := Load(path, SchemaSimCache, 0xdef); len(entries) != 0 || !errors.Is(err, ErrContentKey) {
 		t.Fatalf("wrong content key: %d entries, err %v", len(entries), err)
+	}
+	const retiredMemoSchema = 2
+	if err := Save(path, retiredMemoSchema, 0xabc, sampleEntries(4)); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range allSchemas {
+		if s.schema == retiredMemoSchema {
+			t.Fatalf("%s reuses the retired memo tag", s.name)
+		}
+		if entries, err := Load(path, s.schema, 0xabc); len(entries) != 0 || !errors.Is(err, ErrSchema) {
+			t.Fatalf("retired memo file read as %s: %d entries, err %v", s.name, len(entries), err)
+		}
 	}
 }
 
@@ -253,11 +266,11 @@ func TestTableRoundTrip(t *testing.T) {
 		src.Put(e.Key, e.Val)
 	}
 	path := filepath.Join(t.TempDir(), "cache.pmc")
-	if err := SaveTable(path, SchemaFitnessMemo, 7, src); err != nil {
+	if err := SaveTable(path, SchemaFitnessCache, 7, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := cachetable.New(1 << 10)
-	n, err := LoadTable(path, SchemaFitnessMemo, 7, dst)
+	n, err := LoadTable(path, SchemaFitnessCache, 7, dst)
 	if err != nil || n == 0 {
 		t.Fatalf("LoadTable = %d, %v", n, err)
 	}

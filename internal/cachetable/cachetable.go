@@ -1,7 +1,7 @@
 // Package cachetable provides the bounded, lock-free cache table shared
-// by the engine's throughput memo and the measurement layer's
-// kernel-simulation cache: a fixed-size array of independently atomic
-// slots, direct-mapped by key.
+// by the engine's cross-generation fitness cache and the measurement
+// layer's kernel-simulation and period-hint caches: a fixed-size array
+// of independently atomic slots, direct-mapped by key.
 //
 // Each slot packs (key, value) into two atomic words with the
 // transposition-table XOR trick: the tag word stores key ^ value, so a
@@ -36,7 +36,7 @@ type entry struct {
 // miscomputed request (or the old round-up loop's overflow for inputs
 // near MaxInt) from attempting a multi-gigabyte — or, after signed
 // overflow, negative — allocation. 2^24 slots is 256 MiB, far above any
-// configured consumer (the engine memo caps itself at 2^20).
+// configured consumer (the largest default is 2^16).
 const (
 	MinEntries = 1 << 6
 	MaxEntries = 1 << 24

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -11,154 +12,196 @@ import (
 	"pmevo/internal/throughput"
 )
 
-// newServicePair builds two services over the same measured set: one
-// with the memo enabled (the default) and one with caching disabled.
-func newServicePair(t *testing.T, rng *rand.Rand, numInsts, numPorts int) (*Service, *Service) {
+// twinPorts are the port counts the oracle-twin tests run at: 4 and 11
+// take the unit-table route (11 is throughput.MaxUnitTablePorts), 12 the
+// BottleneckParts route.
+var twinPorts = []int{4, throughput.MaxUnitTablePorts, throughput.MaxUnitTablePorts + 1}
+
+// newOracleTwins builds two services over the same measured set: the
+// fast path and its oracle twin, which predicts every experiment through
+// the generic Predictor interface with Default() (ThroughputOf).
+func newOracleTwins(t *testing.T, rng *rand.Rand, numInsts, numPorts int) (fast, twin *Service) {
 	t.Helper()
 	_, set := measuredSet(t, rng, numInsts, numPorts)
-	memo, err := NewService(set, ServiceOptions{})
+	fast, err := NewService(set, ServiceOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewService(set, ServiceOptions{MemoEntries: -1})
+	twin, err = NewService(set, ServiceOptions{Predictor: Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if memo.memo.Load() == nil {
-		t.Fatal("default service has no memo")
-	}
-	if plain.memo.Load() != nil {
-		t.Fatal("MemoEntries < 0 did not disable the memo")
-	}
-	return memo, plain
+	return fast, twin
 }
 
-// TestMemoizedDavgBitIdentical is the central memo property: on random
-// mappings — including repeated evaluations of equal mappings, which hit
-// the memo — the memoized Davg must be bit-identical to the uncached
-// davgWith-style computation.
+// sameFitness reports whether two fitnesses are equal bit for bit.
+func sameFitness(a, b Fitness) bool {
+	return math.Float64bits(a.Davg) == math.Float64bits(b.Davg) && a.Volume == b.Volume
+}
+
+// TestMemoizedDavgBitIdentical is the central fast-path property: every
+// entry point — Evaluate, EvaluateAll, a BatchEvaluator and NewState —
+// predicts through per-worker unit tables memoized by decomposition
+// fingerprint (or, above throughput.MaxUnitTablePorts, unit terms), and
+// must return a Davg bit-identical to the ThroughputOf oracle twin. The
+// batch holds clones and repeats, which reuse cached tables. It also
+// pins the kernel-call counter: one call per fast-path experiment.
 func TestMemoizedDavgBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	memo, plain := newServicePair(t, rng, 10, 4)
-	for trial := 0; trial < 40; trial++ {
-		m := portmap.Random(rng, portmap.RandomOptions{NumInsts: 10, NumPorts: 4, MaxUops: 3})
-		want, err := plain.Evaluate(m)
-		if err != nil {
+	for _, k := range twinPorts {
+		fast, twin := newOracleTwins(t, rng, 10, k)
+		var ms []*portmap.Mapping
+		for i := 0; i < 8; i++ {
+			m := portmap.Random(rng, portmap.RandomOptions{NumInsts: 10, NumPorts: k, MaxUops: 3})
+			ms = append(ms, m, m.Clone())
+		}
+		ms = append(ms, ms[:4]...)
+		want := make([]Fitness, len(ms))
+		for i, m := range ms {
+			f, err := twin.Evaluate(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = f
+		}
+		check := func(route string, got []Fitness) {
+			t.Helper()
+			for i := range ms {
+				if !sameFitness(got[i], want[i]) {
+					t.Fatalf("k=%d %s: mapping %d: fast %+v != oracle %+v", k, route, i, got[i], want[i])
+				}
+			}
+		}
+		got := make([]Fitness, len(ms))
+		for i, m := range ms {
+			f, err := fast.Evaluate(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = f
+		}
+		check("Evaluate", got)
+		if err := fast.EvaluateAll(context.Background(), ms, got); err != nil {
 			t.Fatal(err)
 		}
-		for rep := 0; rep < 2; rep++ { // rep 1 evaluates through memo hits
-			got, err := memo.Evaluate(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("trial %d rep %d: memoized %+v != uncached %+v", trial, rep, got, want)
-			}
-			// A structurally equal clone shares all fingerprints and must
-			// hit the same memo entries.
-			got2, err := memo.Evaluate(m.Clone())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got2 != want {
-				t.Fatalf("trial %d rep %d: clone %+v != uncached %+v", trial, rep, got2, want)
-			}
+		check("EvaluateAll", got)
+		if err := fast.NewBatchEvaluator().EvaluateAll(context.Background(), ms, got); err != nil {
+			t.Fatal(err)
 		}
-	}
-	st := memo.Stats()
-	if st.MemoHits == 0 {
-		t.Error("repeated evaluations produced no memo hits")
-	}
-	if st.MemoMisses == 0 {
-		t.Error("no memo misses recorded")
-	}
-	if total := st.MemoHits + st.MemoMisses; total != int64(memo.NumExperiments())*int64(memo.Evaluations()) {
-		t.Errorf("hits+misses = %d, want experiments*evaluations = %d",
-			total, int64(memo.NumExperiments())*int64(memo.Evaluations()))
+		check("BatchEvaluator", got)
+		for i, m := range ms {
+			st, err := fast.NewState(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = st.Fitness()
+		}
+		check("NewState", got)
+
+		st := fast.Stats()
+		if want := int64(fast.NumExperiments()) * int64(fast.Evaluations()); st.MemoMisses != want {
+			t.Errorf("k=%d: kernel calls = %d, want experiments*evaluations = %d", k, st.MemoMisses, want)
+		}
+		if st.MemoHits != 0 || st.MemoEntries != 0 || st.MemoResizes != 0 {
+			t.Errorf("k=%d: retired memo counters moved: %+v", k, st)
+		}
+		if ts := twin.Stats(); ts.MemoMisses != 0 {
+			t.Errorf("k=%d: generic path counted %d kernel calls", k, ts.MemoMisses)
+		}
 	}
 }
 
 // TestEvaluateDeltaBitIdentical drives random single-instruction edit
-// sequences through the NewState/EvaluateDelta/Commit protocol — with
-// and without the memo — and checks every pending and committed fitness
-// bitwise against a fresh full evaluation of an equal mapping.
+// sequences through the NewState/EvaluateDelta/Commit protocol — on the
+// fast path and on its oracle twin, at every port count of twinPorts —
+// and checks every pending and committed fitness bit for bit against a
+// fresh full evaluation of an equal mapping by the oracle twin.
 func TestEvaluateDeltaBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	memo, plain := newServicePair(t, rng, 9, 4)
-	for _, svc := range []*Service{memo, plain} {
-		for trial := 0; trial < 12; trial++ {
-			m := portmap.Random(rng, portmap.RandomOptions{NumInsts: 9, NumPorts: 4, MaxUops: 3})
-			st, err := svc.NewState(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, err := plain.Evaluate(m.Clone())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Fitness() != full {
-				t.Fatalf("trial %d: NewState %+v != full %+v", trial, st.Fitness(), full)
-			}
-			for edit := 0; edit < 30; edit++ {
-				inst := rng.Intn(9)
-				j := rng.Intn(len(m.Decomp[inst]))
-				// Random probe: bump a count, drop a µop, or add one.
-				var revert func()
-				switch op := rng.Intn(3); {
-				case op == 0:
-					orig := m.Decomp[inst][j].Count
-					m.SetUopCount(inst, j, orig+1)
-					revert = func() { m.SetUopCount(inst, j, orig) }
-				case op == 1 && len(m.Decomp[inst]) > 1:
-					uc := m.RemoveUopAt(inst, j)
-					revert = func() { m.InsertUopAt(inst, j, uc) }
-				default:
-					ports := portmap.RandomPortSet(rng, 4)
-					before := append([]portmap.UopCount(nil), m.Decomp[inst]...)
-					m.AddUop(inst, ports, 1+rng.Intn(2))
-					revert = func() { m.SetDecomp(inst, before) }
-				}
-				fit, err := svc.EvaluateDelta(st, inst)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := plain.Evaluate(m.Clone())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fit != want {
-					t.Fatalf("trial %d edit %d: delta %+v != full %+v", trial, edit, fit, want)
-				}
-				if rng.Intn(2) == 0 {
-					st.Commit()
-					if st.Fitness() != want {
-						t.Fatalf("trial %d edit %d: committed %+v != full %+v", trial, edit, st.Fitness(), want)
-					}
-				} else {
-					revert()
-				}
-			}
-			// After the edit sequence the state must still agree with a
-			// fresh full evaluation (one more delta on a no-op edit).
-			m.SetUopCount(0, 0, m.Decomp[0][0].Count+1)
-			fit, err := svc.EvaluateDelta(st, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := plain.Evaluate(m.Clone())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fit != want {
-				t.Fatalf("trial %d: final delta %+v != full %+v", trial, fit, want)
-			}
+	for _, k := range twinPorts {
+		fast, twin := newOracleTwins(t, rng, 9, k)
+		for _, svc := range []*Service{fast, twin} {
+			evaluateDeltaTrials(t, rng, svc, twin, k)
+		}
+		if fast.Stats().DeltaEvaluations == 0 || twin.Stats().DeltaEvaluations == 0 {
+			t.Error("no delta evaluations recorded")
+		}
+		if fast.Stats().DeltaExperimentsSkipped == 0 {
+			t.Error("delta evaluation skipped no experiments on §4.1-style sets")
 		}
 	}
-	if memo.Stats().DeltaEvaluations == 0 || plain.Stats().DeltaEvaluations == 0 {
-		t.Error("no delta evaluations recorded")
-	}
-	if memo.Stats().DeltaExperimentsSkipped == 0 {
-		t.Error("delta evaluation skipped no experiments on §4.1-style sets")
+}
+
+// evaluateDeltaTrials runs random edit sequences on svc and checks them
+// against full evaluations by twin.
+func evaluateDeltaTrials(t *testing.T, rng *rand.Rand, svc, twin *Service, k int) {
+	t.Helper()
+	for trial := 0; trial < 6; trial++ {
+		m := portmap.Random(rng, portmap.RandomOptions{NumInsts: 9, NumPorts: k, MaxUops: 3})
+		st, err := svc.NewState(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := twin.Evaluate(m.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameFitness(st.Fitness(), full) {
+			t.Fatalf("k=%d trial %d: NewState %+v != full %+v", k, trial, st.Fitness(), full)
+		}
+		for edit := 0; edit < 30; edit++ {
+			inst := rng.Intn(9)
+			j := rng.Intn(len(m.Decomp[inst]))
+			// Random probe: bump a count, drop a µop, or add one.
+			var revert func()
+			switch op := rng.Intn(3); {
+			case op == 0:
+				orig := m.Decomp[inst][j].Count
+				m.SetUopCount(inst, j, orig+1)
+				revert = func() { m.SetUopCount(inst, j, orig) }
+			case op == 1 && len(m.Decomp[inst]) > 1:
+				uc := m.RemoveUopAt(inst, j)
+				revert = func() { m.InsertUopAt(inst, j, uc) }
+			default:
+				ports := portmap.RandomPortSet(rng, k)
+				before := append([]portmap.UopCount(nil), m.Decomp[inst]...)
+				m.AddUop(inst, ports, 1+rng.Intn(2))
+				revert = func() { m.SetDecomp(inst, before) }
+			}
+			fit, err := svc.EvaluateDelta(st, inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := twin.Evaluate(m.Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameFitness(fit, want) {
+				t.Fatalf("k=%d trial %d edit %d: delta %+v != full %+v", k, trial, edit, fit, want)
+			}
+			if rng.Intn(2) == 0 {
+				st.Commit()
+				if !sameFitness(st.Fitness(), want) {
+					t.Fatalf("k=%d trial %d edit %d: committed %+v != full %+v", k, trial, edit, st.Fitness(), want)
+				}
+			} else {
+				revert()
+			}
+		}
+		// After the edit sequence the state must still agree with a
+		// fresh full evaluation (one more delta on a fresh edit).
+		m.SetUopCount(0, 0, m.Decomp[0][0].Count+1)
+		fit, err := svc.EvaluateDelta(st, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.Evaluate(m.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameFitness(fit, want) {
+			t.Fatalf("k=%d trial %d: final delta %+v != full %+v", k, trial, fit, want)
+		}
 	}
 }
 
@@ -211,9 +254,6 @@ func TestEvaluateDeltaValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.NewState(portmap.NewMapping(2, 3)); err == nil {
-		t.Error("undersized mapping accepted")
-	}
 	m := portmap.Random(rng, portmap.RandomOptions{NumInsts: 5, NumPorts: 3})
 	st, err := svc.NewState(m)
 	if err != nil {
@@ -234,56 +274,67 @@ func TestEvaluateDeltaValidation(t *testing.T) {
 	}
 }
 
-// TestMemoConcurrentEvaluation hammers one memoized service from many
-// goroutines over a small pool of shared mappings; under -race this
-// verifies the lock-free memo and the pure fingerprint reads, and every
-// result must match the uncached reference.
+// TestMemoConcurrentEvaluation hammers one fast-path service from many
+// goroutines — each alternating Evaluate, whose scratch and memoized unit
+// tables come from a shared pool, with its own BatchEvaluator — over a
+// small set of shared mappings at every port count of twinPorts. Under
+// -race this verifies the per-worker state and the pure fingerprint
+// reads; every result must match the oracle twin bit for bit.
 func TestMemoConcurrentEvaluation(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	memo, plain := newServicePair(t, rng, 8, 4)
-	mappings := make([]*portmap.Mapping, 6)
-	want := make([]Fitness, len(mappings))
-	for i := range mappings {
-		mappings[i] = portmap.Random(rng, portmap.RandomOptions{NumInsts: 8, NumPorts: 4, MaxUops: 2})
-		f, err := plain.Evaluate(mappings[i])
-		if err != nil {
+	for _, k := range twinPorts {
+		fast, twin := newOracleTwins(t, rng, 8, k)
+		mappings := make([]*portmap.Mapping, 6)
+		want := make([]Fitness, len(mappings))
+		for i := range mappings {
+			mappings[i] = portmap.Random(rng, portmap.RandomOptions{NumInsts: 8, NumPorts: k, MaxUops: 2})
+			f, err := twin.Evaluate(mappings[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = f
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				be := fast.NewBatchEvaluator()
+				got := make([]Fitness, 1)
+				for iter := 0; iter < 20; iter++ {
+					i := (g + iter) % len(mappings)
+					var err error
+					if iter%2 == 0 {
+						got[0], err = fast.Evaluate(mappings[i])
+					} else {
+						err = be.EvaluateAll(context.Background(), mappings[i:i+1], got)
+					}
+					if err != nil {
+						t.Errorf("k=%d: %v", k, err)
+						return
+					}
+					if !sameFitness(got[0], want[i]) {
+						t.Errorf("k=%d: concurrent evaluation diverged: %+v != %+v", k, got[0], want[i])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+
+		// Batched evaluation over a population with many duplicates.
+		pop := make([]*portmap.Mapping, 64)
+		fits := make([]Fitness, len(pop))
+		for i := range pop {
+			pop[i] = mappings[i%len(mappings)]
+		}
+		if err := fast.EvaluateAll(context.Background(), pop, fits); err != nil {
 			t.Fatal(err)
 		}
-		want[i] = f
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for iter := 0; iter < 50; iter++ {
-				k := (g + iter) % len(mappings)
-				got, err := memo.Evaluate(mappings[k])
-				if err != nil {
-					t.Errorf("Evaluate: %v", err)
-					return
-				}
-				if got != want[k] {
-					t.Errorf("concurrent memoized Evaluate diverged: %+v != %+v", got, want[k])
-					return
-				}
+		for i := range pop {
+			if !sameFitness(fits[i], want[i%len(mappings)]) {
+				t.Fatalf("k=%d batch %d: %+v != %+v", k, i, fits[i], want[i%len(mappings)])
 			}
-		}(g)
-	}
-	wg.Wait()
-
-	// Batched evaluation over a population with many duplicates.
-	pop := make([]*portmap.Mapping, 64)
-	fits := make([]Fitness, len(pop))
-	for i := range pop {
-		pop[i] = mappings[i%len(mappings)]
-	}
-	if err := memo.EvaluateAll(context.Background(), pop, fits); err != nil {
-		t.Fatal(err)
-	}
-	for i := range pop {
-		if fits[i] != want[i%len(mappings)] {
-			t.Fatalf("batch %d: %+v != %+v", i, fits[i], want[i%len(mappings)])
 		}
 	}
 }
@@ -411,7 +462,7 @@ func TestEvaluateDeltaErrorInvalidatesPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewService(set, ServiceOptions{MemoEntries: -1})
+	plain, err := NewService(set, ServiceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,70 +492,5 @@ func TestEvaluateDeltaErrorInvalidatesPending(t *testing.T) {
 	}
 	if fit != want {
 		t.Errorf("recovered delta %+v != full %+v", fit, want)
-	}
-}
-
-// TestAdaptiveMemoGrowth drives enough distinct candidates through an
-// auto-sized service to trigger growth, and checks that growth happened,
-// is bounded, and never changes results (bit-equality against both a
-// cache-disabled service and a pinned-size service).
-func TestAdaptiveMemoGrowth(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	_, set := measuredSet(t, rng, 12, 6)
-	auto, err := NewService(set, ServiceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := auto.Stats().MemoEntries; got != autoMemoFloor {
-		t.Fatalf("auto memo starts at %d slots, want %d", got, autoMemoFloor)
-	}
-	pinned, err := NewService(set, ServiceOptions{MemoEntries: 1 << 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pinned.memoAuto {
-		t.Fatal("pinned size must not adapt")
-	}
-	plain, err := NewService(set, ServiceOptions{MemoEntries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Each batch of distinct random mappings floods the memo with
-	// distinct keys; the window heuristic must grow the table.
-	for batch := 0; batch < 4; batch++ {
-		ms := make([]*portmap.Mapping, 48)
-		for i := range ms {
-			ms[i] = portmap.Random(rng, portmap.RandomOptions{NumInsts: 12, NumPorts: 6, MaxUops: 3})
-		}
-		want := make([]Fitness, len(ms))
-		if err := plain.EvaluateAll(context.Background(), ms, want); err != nil {
-			t.Fatal(err)
-		}
-		for _, svc := range []*Service{auto, pinned} {
-			got := make([]Fitness, len(ms))
-			if err := svc.EvaluateAll(context.Background(), ms, got); err != nil {
-				t.Fatal(err)
-			}
-			for i := range ms {
-				if got[i] != want[i] {
-					t.Fatalf("batch %d mapping %d: %+v != uncached %+v", batch, i, got[i], want[i])
-				}
-			}
-		}
-	}
-
-	st := auto.Stats()
-	if st.MemoResizes < 1 {
-		t.Errorf("auto memo never grew (misses=%d, entries=%d)", st.MemoMisses, st.MemoEntries)
-	}
-	if st.MemoEntries <= autoMemoFloor || st.MemoEntries > autoMemoCeil {
-		t.Errorf("auto memo entries = %d, want in (%d, %d]", st.MemoEntries, autoMemoFloor, autoMemoCeil)
-	}
-	if pst := pinned.Stats(); pst.MemoResizes != 0 || pst.MemoEntries != 1<<15 {
-		t.Errorf("pinned memo changed size: %+v", pst)
-	}
-	if plain.Stats().MemoEntries != 0 {
-		t.Error("disabled memo reports entries")
 	}
 }

@@ -50,9 +50,8 @@ type FitnessState struct {
 // state for incremental re-evaluation. The state keeps a reference to m:
 // subsequent edits to m drive EvaluateDelta.
 func (s *Service) NewState(m *portmap.Mapping) (*FitnessState, error) {
-	if m.NumInsts() < s.numInsts {
-		return nil, fmt.Errorf("engine: mapping covers %d instructions, experiment set needs %d",
-			m.NumInsts(), s.numInsts)
+	if err := s.checkCovers(m); err != nil {
+		return nil, err
 	}
 	st := &FitnessState{
 		svc:         s,
@@ -70,7 +69,6 @@ func (s *Service) NewState(m *portmap.Mapping) (*FitnessState, error) {
 		return st, nil
 	}
 	st.fit = Fitness{Davg: s.davgFast(&st.sc, m, st.preds), Volume: m.Volume()}
-	s.maybeGrowMemo()
 	return st, nil
 }
 
@@ -116,14 +114,11 @@ func (s *Service) EvaluateDelta(st *FitnessState, inst int) (Fitness, error) {
 		// The scratch's derived per-instruction data is keyed by
 		// decomposition fingerprint, so the edited instruction's table
 		// rebuilds itself and everything else stays valid across probes.
-		t := s.memo.Load()
-		if t != nil {
-			st.sc.ensure(s.numInsts, st.m.NumPorts)
-		}
+		st.sc.ensure(s.numInsts, st.m.NumPorts)
 		for k, j := range touched {
-			st.pendingPreds[k] = s.predictOne(&st.sc, t, st.m, int(j))
+			st.pendingPreds[k] = s.predictOne(&st.sc, st.m, int(j))
 		}
-		s.flushMemoCounters(&st.sc)
+		s.kernelCalls.Add(int64(len(touched)))
 	}
 
 	// Re-accumulate the error sum over all experiments in order —

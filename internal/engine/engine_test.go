@@ -243,6 +243,53 @@ func TestServiceValidation(t *testing.T) {
 	}
 }
 
+// TestUndersizedMappingRejected: a mapping covering fewer instructions
+// than the experiment set references must be rejected up front, with
+// NewState's error, by every entry point on both the fast and the
+// generic path — never indexed past its decompositions (on the fast
+// path, EvaluateAll's pool goroutines could not recover that panic).
+func TestUndersizedMappingRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	_, set := measuredSet(t, rng, 10, 4)
+	small := portmap.Random(rng, portmap.RandomOptions{NumInsts: 6, NumPorts: 4, MaxUops: 2})
+	full := portmap.Random(rng, portmap.RandomOptions{NumInsts: 10, NumPorts: 4, MaxUops: 2})
+	batch := []*portmap.Mapping{full, full, small, full}
+	entryPoints := []struct {
+		name string
+		call func(svc *Service) error
+	}{
+		{"Evaluate", func(svc *Service) error { _, err := svc.Evaluate(small); return err }},
+		{"EvaluateAll", func(svc *Service) error {
+			return svc.EvaluateAll(context.Background(), batch, make([]Fitness, len(batch)))
+		}},
+		{"BatchEvaluator", func(svc *Service) error {
+			return svc.NewBatchEvaluator().EvaluateAll(context.Background(), batch, make([]Fitness, len(batch)))
+		}},
+		{"NewState", func(svc *Service) error { _, err := svc.NewState(small); return err }},
+	}
+	for _, path := range []struct {
+		name string
+		opts ServiceOptions
+	}{{"fast", ServiceOptions{Workers: 4}}, {"generic", ServiceOptions{Workers: 4, Predictor: Default()}}} {
+		for _, ep := range entryPoints {
+			t.Run(path.name+"/"+ep.name, func(t *testing.T) {
+				svc, err := NewService(set, path.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = ep.call(svc)
+				const want = "engine: mapping covers 6 instructions, experiment set needs 10"
+				if err == nil || err.Error() != want {
+					t.Fatalf("error = %v, want %q", err, want)
+				}
+				if svc.Evaluations() != 0 {
+					t.Errorf("rejected call counted %d evaluations", svc.Evaluations())
+				}
+			})
+		}
+	}
+}
+
 // TestConcurrentEngineUse exercises the predictors and the service from
 // many goroutines at once; run under -race it verifies the concurrency
 // contract of the package.

@@ -28,41 +28,21 @@ type ServiceOptions struct {
 	// Workers is the parallelism of EvaluateAll (<= 0: GOMAXPROCS).
 	Workers int
 	// Predictor selects the throughput engine. nil selects the built-in
-	// bottleneck fast path, which evaluates with zero allocation,
-	// per-worker reusable evaluator state, and the shared throughput
-	// memo; any other engine goes through the generic Predict interface
-	// (no memoization).
+	// bottleneck fast path, which evaluates with zero allocation through
+	// per-worker reusable evaluator state and unit tables, bit-identical
+	// to Default(); any other engine goes through the generic Predict
+	// interface.
 	Predictor Predictor
-	// MemoEntries bounds the shared per-experiment throughput memo
-	// (slots, rounded up to a power of two). 0 selects adaptive sizing:
-	// the memo starts small and grows — up to a bounded maximum — when
-	// the observed miss traffic indicates collision churn (see
-	// maybeGrowMemo). Positive values pin the size; negative disables
-	// memoization entirely. Sizing never changes results: a smaller
-	// table only recomputes more. The memo only accelerates the built-in
-	// bottleneck fast path.
-	MemoEntries int
-	// MemoWarm seeds the memo with entries spilled by a previous run
-	// (Service.MemoSnapshot via internal/cachestore), warm-starting
-	// evaluation across processes. Keys are content hashes (experiment
-	// identity × decomposition fingerprints), so entries from a
-	// different experiment set never hit — the persistence layer
-	// additionally guards the file with ExpSetFingerprint. Warm entries
-	// are the exact floats a fresh evaluation would produce, so results
-	// are bit-identical to a cold start; hits on them are counted in
-	// CacheStats.MemoWarmHits. Ignored when the memo is disabled.
-	MemoWarm []cachetable.Entry
 	// FitCacheEntries bounds the cross-generation whole-mapping fitness
 	// cache (slots, rounded up to a power of two): FingerprintAll(m) →
-	// Davg(m). Where the throughput memo deduplicates per-experiment
-	// work inside one evaluation, this cache skips the evaluation of a
-	// recurring candidate entirely — across generations, and across the
-	// islands of an island-model run sharing one Service. Values are
-	// the exact floats a fresh evaluation would produce (the cache holds
-	// a pure function of the mapping under the fixed experiment set), so
-	// hits never change results. <= 0 disables the cache (the zero-value
-	// option keeps the pre-existing Service behavior); consumers opt in
-	// with a size (evo.Run uses 2^16 slots by default).
+	// Davg(m). It skips the evaluation of a recurring candidate entirely
+	// — across generations, and across the islands of an island-model
+	// run sharing one Service. Values are the exact floats a fresh
+	// evaluation would produce (the cache holds a pure function of the
+	// mapping under the fixed experiment set), so hits never change
+	// results. <= 0 disables the cache (the zero-value option keeps the
+	// pre-existing Service behavior); consumers opt in with a size
+	// (evo.Run uses 2^16 slots by default).
 	FitCacheEntries int
 	// FitCacheWarm seeds the cross-generation fitness cache with entries
 	// from a previous run (Service.FitCacheSnapshot, spilled alongside an
@@ -74,34 +54,31 @@ type ServiceOptions struct {
 }
 
 // CacheStats is a snapshot of a Service's evaluation counters. The
-// memo/delta counters quantify how much redundant work the caching layer
-// eliminated; pmevo-bench's fitness experiment reports them.
+// delta and fitness-cache counters quantify how much redundant work the
+// Service skipped; pmevo-bench's fitness experiment reports the delta
+// counters.
 type CacheStats struct {
 	// Evaluations counts Davg computations: every candidate passed to
 	// Evaluate/EvaluateAll/NewState plus every EvaluateDelta probe.
 	Evaluations int64
 	// DeltaEvaluations counts the EvaluateDelta subset.
 	DeltaEvaluations int64
-	// MemoHits / MemoMisses count per-experiment memo lookups on the
-	// fast path (hits + misses = experiments actually inspected).
-	MemoHits   int64
+	// MemoHits always reads 0: the Service keeps no per-experiment
+	// throughput memo. It stays, like MemoEntries and MemoResizes,
+	// because perfbench reads it.
+	MemoHits int64
+	// MemoMisses counts fast-path kernel calls: each count is one
+	// throughput.BottleneckTables or BottleneckParts call, that is, one
+	// experiment predicted on the fast path. The generic Predictor path
+	// is not counted. perfbench reads it as its kernel-call count.
 	MemoMisses int64
 	// DeltaExperimentsSkipped counts experiments EvaluateDelta did not
 	// have to re-predict because the changed instruction does not occur
 	// in them.
 	DeltaExperimentsSkipped int64
-	// MemoEntries is the current memo size in slots (0 when the memo is
-	// disabled); MemoResizes counts adaptive growth steps.
+	// MemoEntries and MemoResizes always read 0 (see MemoHits).
 	MemoEntries int64
 	MemoResizes int64
-	// MemoWarmEntries is the number of disk-warm entries the memo was
-	// seeded with (ServiceOptions.MemoWarm); MemoWarmHits is the subset
-	// of MemoHits served on warm-seeded keys. Attribution is by key:
-	// after adaptive growth discards the seeded table, a re-computed
-	// entry under a warm key still counts, so treat warm hits as an
-	// attribution of keys, not of stored bytes.
-	MemoWarmEntries int64
-	MemoWarmHits    int64
 	// FitCacheHits / FitCacheMisses count cross-generation fitness-cache
 	// lookups (FitnessCacheGet): a hit skipped one whole candidate
 	// evaluation; FitCacheEntries is the cache size in slots (0 when
@@ -119,26 +96,28 @@ type CacheStats struct {
 // pool whose workers each own reusable evaluator state, so the
 // per-candidate hot loop allocates nothing.
 //
-// Two layers make the hot loop sublinear in redundant work:
+// On the fast path every experiment costs one bottleneck kernel call.
+// The per-worker unit-table cache (see evalScratch) is the only
+// per-experiment cache; two further layers skip whole predictions:
 //
-//   - a bounded, shared, lock-free throughput memo keyed by the
-//     decomposition-fingerprint tuple of each experiment's instructions:
-//     duplicate decompositions across the 2p candidates of a generation
-//     (recombined children share µop decompositions with their parents)
-//     are evaluated once;
 //   - the incremental NewState/EvaluateDelta API: re-evaluating after a
 //     single-instruction change only re-predicts the experiments that
 //     contain the changed instruction, turning a local-search probe from
-//     O(#experiments) into O(#experiments containing the instruction).
+//     O(#experiments) into O(#experiments containing the instruction);
+//   - the optional cross-generation fitness cache
+//     (ServiceOptions.FitCacheEntries), which skips recurring candidates.
 //
-// Both layers are bit-exact: memoized values are the exact floats a
-// fresh evaluation would produce (fingerprint equality stands in for
-// decomposition equality at ~2^-64 collision odds), and delta evaluation
+// All layers are bit-exact: the unit-table kernel is bit-identical to
+// ThroughputOf, cached values are the exact floats a fresh evaluation
+// would produce (fingerprint equality stands in for decomposition
+// equality at ~2^-64 collision odds), and delta evaluation
 // re-accumulates the error sum in experiment order, so Davg is
 // bit-identical to a full evaluation.
 //
 // Evaluate may be called concurrently; EvaluateAll runs one batch at a
-// time (per-worker state is reused across batches).
+// time (per-worker state is reused across batches). Every entry point
+// rejects a mapping covering fewer instructions than the experiment set
+// references.
 type Service struct {
 	workers  int
 	numInsts int
@@ -155,27 +134,10 @@ type Service struct {
 	// i. EvaluateDelta re-predicts exactly these.
 	instExps [][]int32
 
-	// expSalt[i] seeds experiment i's memo key, so equal fingerprint
-	// tuples of different experiments (different counts) never alias.
-	expSalt []uint64
-	// memo is nil-pointer-valued when memoization is disabled. With
-	// adaptive sizing (memoAuto) the table is replaced wholesale on
-	// growth — readers hold whatever table they loaded, which is safe:
-	// the table is a cache of a pure function.
-	memo     atomic.Pointer[memoTable]
-	memoAuto bool
-	memoMax  int
-	// warmKeys is the read-only set of memo keys seeded from
-	// ServiceOptions.MemoWarm, for warm-hit attribution; nil when no
-	// warm start was requested (the common case — the hit path then
-	// pays only a nil check).
-	warmKeys    map[uint64]struct{}
-	warmEntries int
-
 	// fitCache is the cross-generation whole-mapping fitness cache
-	// (FingerprintAll → Davg bits); nil when disabled. Like the memo it
-	// is a bounded, lock-free cache of a pure function, shared by every
-	// goroutine — and every island — evaluating against this Service.
+	// (FingerprintAll → Davg bits); nil when disabled. It is a bounded,
+	// lock-free cache of a pure function, shared by every goroutine —
+	// and every island — evaluating against this Service.
 	fitCache *cachetable.Table
 
 	workerSc []evalScratch // per-worker state for EvaluateAll
@@ -183,16 +145,10 @@ type Service struct {
 
 	evals        atomic.Int64
 	deltaEvals   atomic.Int64
-	memoHits     atomic.Int64
-	memoMisses   atomic.Int64
-	memoWarmHits atomic.Int64
+	kernelCalls  atomic.Int64
 	deltaSkipped atomic.Int64
-	memoResizes  atomic.Int64
 	fitHits      atomic.Int64
 	fitMisses    atomic.Int64
-	// missesAtGrow remembers the total miss count at the last growth
-	// decision, so maybeGrowMemo reasons about a window of traffic.
-	missesAtGrow atomic.Int64
 }
 
 // evalScratch is one worker's reusable evaluation state: the throughput
@@ -214,10 +170,6 @@ type evalScratch struct {
 	unitFp []uint64 // fingerprint each unit-term list was built from
 	unit   [][]portmap.MassTerm
 	parts  []throughput.Part
-
-	hits int64 // memo counters, flushed per candidate
-	miss int64
-	warm int64 // hits on disk-warm keys (subset of hits)
 }
 
 // ensure sizes the scratch for the instruction count and invalidates the
@@ -262,20 +214,6 @@ func (sc *evalScratch) unitFor(m *portmap.Mapping, inst int) []portmap.MassTerm 
 	sc.unitFp[inst] = fp
 	return u
 }
-
-// Adaptive memo sizing (ServiceOptions.MemoEntries == 0): the table
-// starts at the floor and quadruples — up to the ceiling — whenever a
-// traffic window records more misses than ¾ of the table's slots, the
-// signature of distinct keys churning through a too-small direct-mapped
-// cache. Small inference runs stay at a few KiB; population-scale runs
-// grow to collision-free sizes within a generation or two. Resizing
-// discards the old table's entries, which costs only recomputation:
-// memoized values are exact, so results are bit-identical at any size.
-const (
-	autoMemoFloor      = 1 << 12
-	autoMemoCeil       = 1 << 20
-	autoMemoGrowFactor = 4
-)
 
 // NewService compiles the measured experiment set into a Service.
 func NewService(set *exp.Set, opts ServiceOptions) (*Service, error) {
@@ -326,35 +264,6 @@ func NewService(set *exp.Set, opts ServiceOptions) (*Service, error) {
 		}
 	}
 
-	if opts.MemoEntries >= 0 && opts.Predictor == nil {
-		entries := opts.MemoEntries
-		if entries == 0 {
-			entries = autoMemoFloor
-			s.memoAuto = true
-			s.memoMax = autoMemoCeil
-			// A warm start should not begin with the seeded entries
-			// evicting each other in a floor-sized table: open with
-			// room for them (adaptive growth takes over from there).
-			for entries < autoMemoCeil && entries < 2*len(opts.MemoWarm) {
-				entries *= autoMemoGrowFactor
-			}
-		}
-		t := newMemoTable(entries)
-		if len(opts.MemoWarm) > 0 {
-			s.warmEntries = t.t.LoadEntries(opts.MemoWarm)
-			s.warmKeys = make(map[uint64]struct{}, len(opts.MemoWarm))
-			for _, e := range opts.MemoWarm {
-				if e.Key != 0 {
-					s.warmKeys[e.Key] = struct{}{}
-				}
-			}
-		}
-		s.memo.Store(t)
-		s.expSalt = make([]uint64, len(s.meas))
-		for i := range s.expSalt {
-			s.expSalt[i] = portmap.CombineFingerprints(0xa0761d6478bd642f, uint64(i)+1)
-		}
-	}
 	if opts.FitCacheEntries > 0 {
 		s.fitCache = cachetable.New(opts.FitCacheEntries)
 		s.fitCache.LoadEntries(opts.FitCacheWarm)
@@ -399,61 +308,16 @@ func (s *Service) FitnessCachePut(fp uint64, davg float64) {
 	s.fitCache.Put(fp, math.Float64bits(davg))
 }
 
-// MemoSnapshot returns the memo's live entries for persistence
-// (engine.SaveMemo → internal/cachestore). Call at a quiesce point —
-// after a run completes — never concurrently with evaluation (see
-// cachetable.Snapshot). Returns nil when the memo is disabled.
-func (s *Service) MemoSnapshot() []cachetable.Entry {
-	t := s.memo.Load()
-	if t == nil {
-		return nil
-	}
-	return t.t.Snapshot()
-}
-
 // FitCacheSnapshot returns the cross-generation fitness cache's live
 // entries for persistence (engine.SaveFitCache alongside an evolution
-// checkpoint). Like MemoSnapshot, call only at a quiesce point. Returns
+// checkpoint). Call only at a quiesce point — after a run completes —
+// never concurrently with evaluation (see cachetable.Snapshot). Returns
 // nil when the cache is disabled.
 func (s *Service) FitCacheSnapshot() []cachetable.Entry {
 	if s.fitCache == nil {
 		return nil
 	}
 	return s.fitCache.Snapshot()
-}
-
-// maybeGrowMemo is the adaptive-sizing decision point, called after each
-// batch (EvaluateAll/NewState): if the traffic window since the last
-// decision produced more misses than ¾ of the current table, the table
-// is too small for the workload's distinct-key set and is replaced by a
-// larger empty one. The CAS on the window marker makes concurrent
-// callers elect a single grower.
-func (s *Service) maybeGrowMemo() {
-	if !s.memoAuto {
-		return
-	}
-	t := s.memo.Load()
-	if t == nil || t.size() >= s.memoMax {
-		return
-	}
-	misses := s.memoMisses.Load()
-	last := s.missesAtGrow.Load()
-	if misses-last <= int64(t.size())*3/4 {
-		return
-	}
-	if !s.missesAtGrow.CompareAndSwap(last, misses) {
-		return
-	}
-	size := t.size() * autoMemoGrowFactor
-	if size > s.memoMax {
-		size = s.memoMax
-	}
-	// CAS on the table itself: a concurrent grower that already replaced
-	// t must not be overwritten with a table sized from the stale load
-	// (that would discard a populated, possibly larger table).
-	if s.memo.CompareAndSwap(t, newMemoTable(size)) {
-		s.memoResizes.Add(1)
-	}
 }
 
 // NumExperiments returns the number of measurements the service
@@ -473,17 +337,10 @@ func (s *Service) Stats() CacheStats {
 	st := CacheStats{
 		Evaluations:             s.evals.Load(),
 		DeltaEvaluations:        s.deltaEvals.Load(),
-		MemoHits:                s.memoHits.Load(),
-		MemoMisses:              s.memoMisses.Load(),
+		MemoMisses:              s.kernelCalls.Load(),
 		DeltaExperimentsSkipped: s.deltaSkipped.Load(),
-		MemoResizes:             s.memoResizes.Load(),
-		MemoWarmEntries:         int64(s.warmEntries),
-		MemoWarmHits:            s.memoWarmHits.Load(),
 		FitCacheHits:            s.fitHits.Load(),
 		FitCacheMisses:          s.fitMisses.Load(),
-	}
-	if t := s.memo.Load(); t != nil {
-		st.MemoEntries = int64(t.size())
 	}
 	if s.fitCache != nil {
 		st.FitCacheEntries = int64(s.fitCache.Len())
@@ -496,96 +353,64 @@ func (s *Service) experiment(i int) portmap.Experiment {
 	return portmap.Experiment(s.terms[s.offs[i]:s.offs[i+1]])
 }
 
-// expKey returns experiment i's memo key under mapping m: a hash of the
-// experiment's identity (salt) and the decomposition fingerprints of its
-// instructions. Two mappings that agree on the decompositions of the
-// experiment's instructions produce the same key — and the same
-// throughput.
-func (s *Service) expKey(m *portmap.Mapping, i int) uint64 {
-	key := s.expSalt[i]
-	for _, t := range s.terms[s.offs[i]:s.offs[i+1]] {
-		key = portmap.CombineFingerprints(key, m.Fingerprint(t.Inst))
+// checkCovers rejects a mapping that covers fewer instructions than the
+// experiment set references: the fast path would index past its
+// decompositions.
+func (s *Service) checkCovers(m *portmap.Mapping) error {
+	if m.NumInsts() < s.numInsts {
+		return fmt.Errorf("engine: mapping covers %d instructions, experiment set needs %d",
+			m.NumInsts(), s.numInsts)
 	}
-	if key == 0 {
-		key = 1 // 0 would read an empty memo slot as a hit
-	}
-	return key
+	return nil
 }
 
-// predictOne predicts experiment i under m on the fast path, through
-// memo table t when non-nil (the caller loads the table once per
-// candidate, so one growth swap cannot split a candidate's lookups
-// between tables). Memo misses evaluate via the per-instruction
-// subset-sum tables (or, for wide port universes, the pre-flattened unit
-// terms) in sc, which must have been ensured for m. All three routes are
-// bit-identical to ThroughputOf.
-func (s *Service) predictOne(sc *evalScratch, t *memoTable, m *portmap.Mapping, i int) float64 {
-	if t == nil {
-		return sc.ev.ThroughputOf(m, s.experiment(i))
+// checkCandidates validates a batch before any candidate is evaluated.
+func (s *Service) checkCandidates(ms []*portmap.Mapping, out []Fitness) error {
+	if len(out) != len(ms) {
+		return fmt.Errorf("engine: output length %d does not match batch length %d", len(out), len(ms))
 	}
-	key := s.expKey(m, i)
-	if v, ok := t.get(key); ok {
-		sc.hits++
-		if s.warmKeys != nil {
-			if _, warm := s.warmKeys[key]; warm {
-				sc.warm++
-			}
+	for _, m := range ms {
+		if err := s.checkCovers(m); err != nil {
+			return err
 		}
-		return v
 	}
-	sc.miss++
-	var v float64
+	return nil
+}
+
+// predictOne predicts experiment i under m on the fast path: one
+// BottleneckTables call over the per-instruction subset-sum tables in
+// sc or, for port universes wider than throughput.MaxUnitTablePorts, one
+// BottleneckParts call over the pre-flattened unit terms. sc must have
+// been ensured for m. Both routes are bit-identical to ThroughputOf.
+func (s *Service) predictOne(sc *evalScratch, m *portmap.Mapping, i int) float64 {
 	if m.NumPorts <= throughput.MaxUnitTablePorts {
 		sc.tparts = sc.tparts[:0]
 		for _, t := range s.experiment(i) {
 			sc.tparts = append(sc.tparts, throughput.TablePart{Unit: sc.tableFor(m, t.Inst), Scale: float64(t.Count)})
 		}
-		v = sc.ev.BottleneckTables(sc.tparts, m.NumPorts)
-	} else {
-		sc.parts = sc.parts[:0]
-		for _, t := range s.experiment(i) {
-			sc.parts = append(sc.parts, throughput.Part{Terms: sc.unitFor(m, t.Inst), Scale: float64(t.Count)})
-		}
-		v = sc.ev.BottleneckParts(sc.parts)
+		return sc.ev.BottleneckTables(sc.tparts, m.NumPorts)
 	}
-	t.put(key, v)
-	return v
+	sc.parts = sc.parts[:0]
+	for _, t := range s.experiment(i) {
+		sc.parts = append(sc.parts, throughput.Part{Terms: sc.unitFor(m, t.Inst), Scale: float64(t.Count)})
+	}
+	return sc.ev.BottleneckParts(sc.parts)
 }
 
 // davgFast computes Davg(m) on the fast path, optionally capturing the
 // per-experiment predictions into preds (len(preds) == NumExperiments).
 func (s *Service) davgFast(sc *evalScratch, m *portmap.Mapping, preds []float64) float64 {
-	t := s.memo.Load()
-	if t != nil {
-		sc.ensure(s.numInsts, m.NumPorts)
-	}
-	sc.hits, sc.miss = 0, 0
+	sc.ensure(s.numInsts, m.NumPorts)
 	sum := 0.0
 	for i, meas := range s.meas {
-		pred := s.predictOne(sc, t, m, i)
+		pred := s.predictOne(sc, m, i)
 		if preds != nil {
 			preds[i] = pred
 		}
 		sum += math.Abs(pred-meas) / meas
 	}
-	s.flushMemoCounters(sc)
+	s.kernelCalls.Add(int64(len(s.meas)))
 	return sum / float64(len(s.meas))
-}
-
-// flushMemoCounters folds the scratch's local memo counters into the
-// shared stats (batched per candidate to keep atomics off the per-
-// experiment path).
-func (s *Service) flushMemoCounters(sc *evalScratch) {
-	if sc.hits != 0 {
-		s.memoHits.Add(sc.hits)
-	}
-	if sc.miss != 0 {
-		s.memoMisses.Add(sc.miss)
-	}
-	if sc.warm != 0 {
-		s.memoWarmHits.Add(sc.warm)
-	}
-	sc.hits, sc.miss, sc.warm = 0, 0, 0
 }
 
 // davgGeneric computes Davg(m) through an arbitrary Predictor,
@@ -620,6 +445,9 @@ func (s *Service) putScratch(sc *evalScratch) { s.pool.Put(sc) }
 // Evaluate computes the fitness of a single mapping. It is safe for
 // concurrent use and counts as one fitness evaluation.
 func (s *Service) Evaluate(m *portmap.Mapping) (Fitness, error) {
+	if err := s.checkCovers(m); err != nil {
+		return Fitness{}, err
+	}
 	s.evals.Add(1)
 	if s.pred != nil {
 		d, err := s.davgGeneric(m, nil)
@@ -628,28 +456,26 @@ func (s *Service) Evaluate(m *portmap.Mapping) (Fitness, error) {
 	sc := s.getScratch()
 	f := Fitness{Davg: s.davgFast(sc, m, nil), Volume: m.Volume()}
 	s.putScratch(sc)
-	s.maybeGrowMemo()
 	return f, nil
 }
 
 // EvaluateAll computes the fitness of every mapping in ms in parallel,
-// writing results into out (len(out) must equal len(ms)). Cancellation
-// is honored between candidates: once ctx is done, no further
-// candidates start and the typed interruption error (runctrl.ErrCanceled
-// / runctrl.ErrDeadline) is returned; out is then partially filled and
+// writing results into out (len(out) must equal len(ms)). The whole
+// batch is validated before any candidate starts. Cancellation is
+// honored between candidates: once ctx is done, no further candidates
+// start and the typed interruption error (runctrl.ErrCanceled /
+// runctrl.ErrDeadline) is returned; out is then partially filled and
 // must be discarded — the caller resumes from its last consistent
 // state, which for the evolutionary loop is the previous generation.
 func (s *Service) EvaluateAll(ctx context.Context, ms []*portmap.Mapping, out []Fitness) error {
-	if len(out) != len(ms) {
-		return fmt.Errorf("engine: output length %d does not match batch length %d", len(out), len(ms))
+	if err := s.checkCandidates(ms, out); err != nil {
+		return err
 	}
 	s.evals.Add(int64(len(ms)))
 	if s.pred == nil {
-		err := ForEachWorkerCtx(ctx, len(ms), s.workers, func(w, i int) {
+		return ForEachWorkerCtx(ctx, len(ms), s.workers, func(w, i int) {
 			out[i] = Fitness{Davg: s.davgFast(&s.workerSc[w], ms[i], nil), Volume: ms[i].Volume()}
 		})
-		s.maybeGrowMemo()
-		return err
 	}
 	return ForEachErrCtx(ctx, len(ms), s.workers, func(i int) error {
 		d, err := s.davgGeneric(ms[i], nil)
@@ -666,10 +492,9 @@ func (s *Service) EvaluateAll(ctx context.Context, ms []*portmap.Mapping, out []
 // shared per-worker scratches, any number of BatchEvaluators may evaluate
 // concurrently against the same Service — each island of an island-model
 // run owns one and evaluates its sub-population on its own goroutine,
-// while still sharing the Service's lock-free throughput memo and
-// cross-generation fitness cache (both are bit-exact pure-function
-// caches, so sharing never changes results). A BatchEvaluator itself is
-// not safe for concurrent use.
+// while still sharing the Service's lock-free cross-generation fitness
+// cache (a bit-exact pure-function cache, so sharing never changes
+// results). A BatchEvaluator itself is not safe for concurrent use.
 //
 //pmevo:serial
 type BatchEvaluator struct {
@@ -685,24 +510,22 @@ func (s *Service) NewBatchEvaluator() *BatchEvaluator {
 // EvaluateAll computes the fitness of every mapping in ms serially on the
 // calling goroutine, writing results into out (len(out) must equal
 // len(ms)). Results are bit-identical to Service.EvaluateAll.
-// Cancellation is honored between candidates, with the same partial-out
-// contract as Service.EvaluateAll.
+// Validation and cancellation follow Service.EvaluateAll, with the same
+// partial-out contract.
 func (b *BatchEvaluator) EvaluateAll(ctx context.Context, ms []*portmap.Mapping, out []Fitness) error {
 	s := b.svc
-	if len(out) != len(ms) {
-		return fmt.Errorf("engine: output length %d does not match batch length %d", len(out), len(ms))
+	if err := s.checkCandidates(ms, out); err != nil {
+		return err
 	}
 	s.evals.Add(int64(len(ms)))
 	if s.pred == nil {
-		var err error
 		for i, m := range ms {
-			if err = runctrl.Check(ctx); err != nil {
-				break
+			if err := runctrl.Check(ctx); err != nil {
+				return err
 			}
 			out[i] = Fitness{Davg: s.davgFast(&b.sc, m, nil), Volume: m.Volume()}
 		}
-		s.maybeGrowMemo()
-		return err
+		return nil
 	}
 	for i, m := range ms {
 		if err := runctrl.Check(ctx); err != nil {

@@ -10,25 +10,24 @@ import (
 	"pmevo/internal/portmap"
 )
 
-// Persistence of the throughput memo (the engine side of the
-// warm-start seam; the measurement side is measure.Load/SaveSimCache).
+// Persistence of the cross-generation fitness cache (the engine side of
+// the warm-start seam; the measurement side is measure.Load/SaveSimCache).
 //
-// A memo entry maps (experiment identity, decomposition fingerprints of
-// its instructions) → bottleneck throughput; every component is a pure
-// content hash, deterministic across processes. The one piece of
-// context a key does NOT encode is the experiment set itself: expSalt
-// is indexed by experiment position, so a spilled memo is only valid
-// against the exact set it was built from. ExpSetFingerprint hashes the
-// set and gates the file as cachestore's content key — a memo spilled
-// against different measurements loads as empty and the run
-// cold-starts. Within a matching set, warm entries are the exact floats
-// a fresh evaluation would produce, so a warm-started run is
-// bit-identical to a cold one (only timing changes).
+// A fitness-cache entry maps a whole-mapping fingerprint → Davg bits.
+// The key is a pure content hash, but Davg is a function of mapping ×
+// experiment set, so a spill is only valid against the exact set it was
+// built from. ExpSetFingerprint hashes the set and gates the file as
+// cachestore's content key — a spill taken against different
+// measurements loads as empty and the run cold-starts. Within a matching
+// set, warm entries are the exact floats a fresh evaluation would
+// produce, so a warm-started run is bit-identical to a cold one (only
+// timing changes).
 
 // ExpSetFingerprint returns a 64-bit content hash of a measured
 // experiment set: the instruction count, every experiment's terms in
 // order, and the exact bits of every measured throughput. It is the
-// content key under which a Service's memo may be spilled and reloaded.
+// content key under which a Service's fitness cache is spilled and
+// reloaded, and part of the evolution checkpoint's key.
 func ExpSetFingerprint(set *exp.Set) uint64 {
 	h := portmap.CombineFingerprints(0x706d65766f736574, uint64(set.NumInsts)) // "pmevoset"
 	for _, v := range set.Individual {
@@ -48,36 +47,16 @@ func ExpSetFingerprint(set *exp.Set) uint64 {
 	return h
 }
 
-// MemoPath returns the conventional throughput-memo spill file inside a
-// tool's -cache-dir.
-func MemoPath(dir string) string { return filepath.Join(dir, "fitness-memo.pmc") }
-
-// LoadMemo reads the memo entries spilled at path for the given
-// experiment set, for ServiceOptions.MemoWarm (or evo.Options.MemoWarm).
-// It never fails into a result path: a missing, damaged, or
-// foreign-set file yields nil entries plus a typed cachestore
-// diagnostic (errors.Is against cachestore.ErrMissing et al.), and the
-// run cold-starts.
-func LoadMemo(path string, set *exp.Set) ([]cachetable.Entry, error) {
-	return cachestore.Load(path, cachestore.SchemaFitnessMemo, ExpSetFingerprint(set))
-}
-
-// SaveMemo atomically spills memo entries (Service.MemoSnapshot) taken
-// against the given experiment set to path.
-func SaveMemo(path string, set *exp.Set, entries []cachetable.Entry) error {
-	return cachestore.Save(path, cachestore.SchemaFitnessMemo, ExpSetFingerprint(set), entries)
-}
-
 // FitCachePath returns the conventional cross-generation fitness-cache
 // spill file inside an evolution checkpoint directory.
 func FitCachePath(dir string) string { return filepath.Join(dir, "fitness-cache.pmc") }
 
 // LoadFitCache reads a fitness-cache spill (Service.FitCacheSnapshot)
 // taken against the given experiment set, for
-// ServiceOptions.FitCacheWarm, with the same degrade-to-cold contract
-// as LoadMemo. Keys are whole-mapping fingerprints, pure content
-// hashes; the set fingerprint gates the file because Davg is a function
-// of mapping × experiment set.
+// ServiceOptions.FitCacheWarm. It never fails into a result path: a
+// missing, damaged, or foreign-set file yields nil entries plus a typed
+// cachestore diagnostic (errors.Is against cachestore.ErrMissing et
+// al.), and the run cold-starts.
 func LoadFitCache(path string, set *exp.Set) ([]cachetable.Entry, error) {
 	return cachestore.Load(path, cachestore.SchemaFitnessCache, ExpSetFingerprint(set))
 }

@@ -1,8 +1,8 @@
 package engine
 
 import (
-	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -12,79 +12,11 @@ import (
 	"pmevo/internal/portmap"
 )
 
-// TestMemoWarmStartBitIdentical is the engine half of the persistence
-// golden test: a service warm-started from another service's memo
-// snapshot must produce bit-identical fitness for every candidate,
-// serve the repeats from disk-warm entries (counted as MemoWarmHits),
-// and a snapshot round-tripped through the on-disk store must behave
-// identically to the in-memory one.
-func TestMemoWarmStartBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	_, set := measuredSet(t, rng, 10, 4)
-	cold, err := NewService(set, ServiceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ms []*portmap.Mapping
-	for i := 0; i < 12; i++ {
-		ms = append(ms, portmap.Random(rng, portmap.RandomOptions{NumInsts: 10, NumPorts: 4, MaxUops: 3}))
-	}
-	want := make([]Fitness, len(ms))
-	if err := cold.EvaluateAll(context.Background(), ms, want); err != nil {
-		t.Fatal(err)
-	}
-	snap := cold.MemoSnapshot()
-	if len(snap) == 0 {
-		t.Fatal("cold service produced an empty memo snapshot")
-	}
-	if cold.Stats().MemoWarmEntries != 0 || cold.Stats().MemoWarmHits != 0 {
-		t.Fatalf("cold service reports warm traffic: %+v", cold.Stats())
-	}
-
-	// Round-trip the snapshot through the on-disk store.
-	path := filepath.Join(t.TempDir(), "fitness-memo.pmc")
-	if err := SaveMemo(path, set, snap); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadMemo(path, set)
-	if err != nil || len(loaded) != len(snap) {
-		t.Fatalf("LoadMemo: %d of %d entries, err %v", len(loaded), len(snap), err)
-	}
-
-	warm, err := NewService(set, ServiceOptions{MemoWarm: loaded})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]Fitness, len(ms))
-	if err := warm.EvaluateAll(context.Background(), ms, got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range ms {
-		if got[i] != want[i] {
-			t.Fatalf("candidate %d: warm %+v != cold %+v", i, got[i], want[i])
-		}
-	}
-	st := warm.Stats()
-	if st.MemoWarmEntries == 0 {
-		t.Error("warm service reports no seeded entries")
-	}
-	if st.MemoWarmHits == 0 {
-		t.Error("warm service served no disk-warm hits on a repeated batch")
-	}
-	if st.MemoWarmHits > st.MemoHits {
-		t.Errorf("warm hits %d exceed total hits %d", st.MemoWarmHits, st.MemoHits)
-	}
-	// The direct-mapped table overwrites colliding keys, so a snapshot
-	// is not a complete key set — but a warm start must still eliminate
-	// the bulk of the cold run's misses.
-	if cs := cold.Stats(); st.MemoMisses*2 >= cs.MemoMisses {
-		t.Errorf("warm misses %d not well below cold misses %d", st.MemoMisses, cs.MemoMisses)
-	}
-}
-
-// TestLoadMemoRejectsForeignSet: a memo spilled against one experiment
-// set must load as empty against any other (expSalt keys are positional,
-// so cross-set reuse would be unsound even when it would mostly miss).
+// TestLoadMemoRejectsForeignSet: a fitness-cache spill (the memo of
+// whole-mapping fingerprint → Davg) taken against one experiment set
+// must load as empty against any other, because Davg is a function of
+// mapping × set; against the same set it must warm-start a Service with
+// the exact spilled bits.
 func TestLoadMemoRejectsForeignSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	_, setA := measuredSet(t, rng, 8, 4)
@@ -92,23 +24,33 @@ func TestLoadMemoRejectsForeignSet(t *testing.T) {
 	if ExpSetFingerprint(setA) == ExpSetFingerprint(setB) {
 		t.Fatal("distinct sets share a fingerprint")
 	}
-	svc, err := NewService(setA, ServiceOptions{})
+	svc, err := NewService(setA, ServiceOptions{FitCacheEntries: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := portmap.Random(rng, portmap.RandomOptions{NumInsts: 8, NumPorts: 4, MaxUops: 2})
-	if _, err := svc.Evaluate(m); err != nil {
+	f, err := svc.Evaluate(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "fitness-memo.pmc")
-	if err := SaveMemo(path, setA, svc.MemoSnapshot()); err != nil {
+	svc.FitnessCachePut(m.FingerprintAll(), f.Davg)
+	path := filepath.Join(t.TempDir(), "fitness-cache.pmc")
+	if err := SaveFitCache(path, setA, svc.FitCacheSnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if entries, err := LoadMemo(path, setB); len(entries) != 0 || !errors.Is(err, cachestore.ErrContentKey) {
+	if entries, err := LoadFitCache(path, setB); len(entries) != 0 || !errors.Is(err, cachestore.ErrContentKey) {
 		t.Fatalf("foreign-set load returned %d entries (err %v)", len(entries), err)
 	}
-	if entries, err := LoadMemo(path, setA); len(entries) == 0 || err != nil {
+	entries, err := LoadFitCache(path, setA)
+	if len(entries) == 0 || err != nil {
 		t.Fatalf("same-set load failed: %d entries, err %v", len(entries), err)
+	}
+	warm, err := NewService(setA, ServiceOptions{FitCacheEntries: 64, FitCacheWarm: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, ok := warm.FitnessCacheGet(m.FingerprintAll()); !ok || math.Float64bits(d) != math.Float64bits(f.Davg) {
+		t.Fatalf("warm fitness cache returned %v (hit %v), want %v", d, ok, f.Davg)
 	}
 }
 

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"pmevo/internal/cachetable"
-	"pmevo/internal/engine"
 	"pmevo/internal/evo"
 	"pmevo/internal/exp"
 	"pmevo/internal/portmap"
@@ -18,30 +16,16 @@ import (
 
 // FitnessBenchResult reports the fitness-evaluation throughput of the
 // evolutionary hot loop: a full inference run (evolution plus greedy
-// local search) on a synthetic hidden machine, measured with the
-// engine's memoized + incremental evaluation layer on and off. The
-// results are bit-identical by construction (pinned in internal/evo);
-// only the cost differs.
-//
-// With a cache directory (pmevo-bench -cache-dir), the cached run
-// additionally warm-starts its throughput memo from the spill of the
-// previous invocation against the same experiment set (engine.LoadMemo)
-// and spills its own memo on completion; WarmEntries and the run's
-// MemoWarmHits report the disk-warm traffic. The uncached run never
-// touches the memo, so the bit-equality check also pins warm results
-// identical to cold ones.
+// local search) on a synthetic hidden machine, measured with evo's
+// redundancy-exploiting layer (fitness cache, duplicate skip, delta
+// local search) on and off. The results are bit-identical by
+// construction (pinned in internal/evo); only the cost differs.
 type FitnessBenchResult struct {
 	NumInsts    int
 	NumPorts    int
 	Experiments int
 	Population  int
 	Generations int
-
-	// WarmStart records whether a cache directory was used; WarmEntries
-	// is the number of memo entries loaded from it (0 on the first,
-	// cold invocation).
-	WarmStart   bool
-	WarmEntries int
 
 	// Cached is the production configuration, Uncached the same run
 	// with DisableCache.
@@ -54,11 +38,6 @@ type FitnessBenchRun struct {
 	Seconds          float64
 	Evaluations      int
 	EvalsPerSec      float64
-	MemoHits         int64
-	MemoMisses       int64
-	MemoWarmHits     int64
-	MemoEntries      int64
-	MemoResizes      int64
 	DeltaEvals       int64
 	DeltaExpsSkipped int64
 	BestError        float64
@@ -78,11 +57,8 @@ func (mm modelMeasurer) Measure(e portmap.Experiment) (float64, error) {
 }
 
 // RunFitnessBench measures the population fitness loop at the given
-// scale: evo.Run on a hidden random machine, cached vs uncached. A
-// non-empty cacheDir warm-starts the cached run's throughput memo from
-// the directory's spill file and re-spills the memo on completion; the
-// first invocation cold-starts (no file) and seeds the second.
-func RunFitnessBench(ctx context.Context, scale Scale, cacheDir string) (*FitnessBenchResult, error) {
+// scale: evo.Run on a hidden random machine, cached vs uncached.
+func RunFitnessBench(ctx context.Context, scale Scale) (*FitnessBenchResult, error) {
 	rng := rand.New(rand.NewSource(scale.Seed + 4))
 	hidden := portmap.Random(rng, portmap.RandomOptions{
 		NumInsts: fitnessBenchInsts, NumPorts: fitnessBenchPorts, MaxUops: 2,
@@ -98,16 +74,7 @@ func RunFitnessBench(ctx context.Context, scale Scale, cacheDir string) (*Fitnes
 		Population:  scale.Population,
 		Generations: scale.MaxGenerations,
 	}
-	var warm []cachetable.Entry
-	if cacheDir != "" {
-		res.WarmStart = true
-		warm, err = engine.LoadMemo(engine.MemoPath(cacheDir), set)
-		if err != nil {
-			warm = nil // cold start: an absent or stale memo spill just means no warm entries
-		}
-		res.WarmEntries = len(warm)
-	}
-	run := func(disable bool) (FitnessBenchRun, []cachetable.Entry, error) {
+	run := func(disable bool) (FitnessBenchRun, error) {
 		opts := evo.Options{
 			PopulationSize:  scale.Population,
 			MaxGenerations:  scale.MaxGenerations,
@@ -117,24 +84,15 @@ func RunFitnessBench(ctx context.Context, scale Scale, cacheDir string) (*Fitnes
 			Seed:            scale.Seed,
 			DisableCache:    disable,
 		}
-		if !disable {
-			opts.MemoWarm = warm
-			opts.SnapshotMemo = cacheDir != ""
-		}
 		start := time.Now()
 		r, err := evo.Run(ctx, set, opts)
 		if err != nil {
-			return FitnessBenchRun{}, nil, err
+			return FitnessBenchRun{}, err
 		}
 		secs := time.Since(start).Seconds()
 		out := FitnessBenchRun{
 			Seconds:          secs,
 			Evaluations:      r.FitnessEvaluations,
-			MemoHits:         r.CacheStats.MemoHits,
-			MemoMisses:       r.CacheStats.MemoMisses,
-			MemoWarmHits:     r.CacheStats.MemoWarmHits,
-			MemoEntries:      r.CacheStats.MemoEntries,
-			MemoResizes:      r.CacheStats.MemoResizes,
 			DeltaEvals:       r.CacheStats.DeltaEvaluations,
 			DeltaExpsSkipped: r.CacheStats.DeltaExperimentsSkipped,
 			BestError:        r.BestError,
@@ -142,23 +100,17 @@ func RunFitnessBench(ctx context.Context, scale Scale, cacheDir string) (*Fitnes
 		if secs > 0 {
 			out.EvalsPerSec = float64(r.FitnessEvaluations) / secs
 		}
-		return out, r.MemoSnapshot, nil
+		return out, nil
 	}
-	var snapshot []cachetable.Entry
-	if res.Cached, snapshot, err = run(false); err != nil {
+	if res.Cached, err = run(false); err != nil {
 		return nil, err
 	}
-	if res.Uncached, _, err = run(true); err != nil {
+	if res.Uncached, err = run(true); err != nil {
 		return nil, err
 	}
 	if res.Cached.BestError != res.Uncached.BestError {
 		return nil, fmt.Errorf("fitness bench: cached Davg %v != uncached %v (caching must be bit-exact)",
 			res.Cached.BestError, res.Uncached.BestError)
-	}
-	if cacheDir != "" && len(snapshot) > 0 {
-		if err := engine.SaveMemo(engine.MemoPath(cacheDir), set, snapshot); err != nil {
-			return nil, fmt.Errorf("fitness bench: spill memo: %w", err)
-		}
 	}
 	return res, nil
 }
@@ -176,14 +128,10 @@ func (r *FitnessBenchResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fitness-evaluation throughput (hidden %d-inst/%d-port machine, %d experiments, p=%d, %d generations)\n",
 		r.NumInsts, r.NumPorts, r.Experiments, r.Population, r.Generations)
-	if r.WarmStart {
-		fmt.Fprintf(&b, "cached run warm-started from persistent memo (-cache-dir): %d entries loaded\n", r.WarmEntries)
-	}
 	b.WriteString("\n")
 	row := func(name string, run FitnessBenchRun) {
-		fmt.Fprintf(&b, "%-9s %9.3fs  %8d evals  %10.0f evals/s  hits=%d misses=%d warm=%d delta=%d skipped=%d\n",
-			name, run.Seconds, run.Evaluations, run.EvalsPerSec,
-			run.MemoHits, run.MemoMisses, run.MemoWarmHits, run.DeltaEvals, run.DeltaExpsSkipped)
+		fmt.Fprintf(&b, "%-9s %9.3fs  %8d evals  %10.0f evals/s  delta=%d skipped=%d\n",
+			name, run.Seconds, run.Evaluations, run.EvalsPerSec, run.DeltaEvals, run.DeltaExpsSkipped)
 	}
 	row("cached", r.Cached)
 	row("uncached", r.Uncached)
@@ -193,16 +141,16 @@ func (r *FitnessBenchResult) Render() string {
 
 // WriteCSV emits the two timed runs for machine comparison.
 func (r *FitnessBenchResult) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "config,seconds,evaluations,evals_per_sec,memo_hits,memo_misses,memo_warm_hits,delta_evals,delta_exps_skipped"); err != nil {
+	if _, err := fmt.Fprintln(w, "config,seconds,evaluations,evals_per_sec,delta_evals,delta_exps_skipped"); err != nil {
 		return err
 	}
 	for _, row := range []struct {
 		name string
 		run  FitnessBenchRun
 	}{{"cached", r.Cached}, {"uncached", r.Uncached}} {
-		if _, err := fmt.Fprintf(w, "%s,%.6f,%d,%.1f,%d,%d,%d,%d,%d\n",
+		if _, err := fmt.Fprintf(w, "%s,%.6f,%d,%.1f,%d,%d\n",
 			row.name, row.run.Seconds, row.run.Evaluations, row.run.EvalsPerSec,
-			row.run.MemoHits, row.run.MemoMisses, row.run.MemoWarmHits, row.run.DeltaEvals, row.run.DeltaExpsSkipped); err != nil {
+			row.run.DeltaEvals, row.run.DeltaExpsSkipped); err != nil {
 			return err
 		}
 	}

@@ -52,42 +52,3 @@ func TestMeasureBenchWarmStartRoundTrip(t *testing.T) {
 	}
 	measure.FlushSimCache() // leave no warm state behind for other tests
 }
-
-// TestFitnessBenchWarmStartRoundTrip: the fitness bench with a cache
-// directory must spill its memo on the first invocation, warm-start the
-// second from it with nonzero disk-warm traffic, and converge to the
-// bit-identical best error (the in-driver cached-vs-uncached equality
-// additionally pins warm == cold).
-func TestFitnessBenchWarmStartRoundTrip(t *testing.T) {
-	scale := QuickScale()
-	scale.Population = 30
-	scale.MaxGenerations = 5
-	scale.Seed = 3
-	dir := t.TempDir()
-
-	cold, err := RunFitnessBench(context.Background(), scale, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cold.WarmStart || cold.WarmEntries != 0 {
-		t.Fatalf("first invocation should cold-start: %+v", cold)
-	}
-	if cold.Cached.MemoWarmHits != 0 {
-		t.Fatalf("cold run reported %d disk-warm hits", cold.Cached.MemoWarmHits)
-	}
-
-	warm, err := RunFitnessBench(context.Background(), scale, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.WarmEntries == 0 {
-		t.Fatal("second invocation loaded no memo entries")
-	}
-	if warm.Cached.MemoWarmHits == 0 {
-		t.Error("second invocation served no disk-warm hits")
-	}
-	if warm.Cached.BestError != cold.Cached.BestError {
-		t.Errorf("warm best error %v != cold %v (warm start must be bit-exact)",
-			warm.Cached.BestError, cold.Cached.BestError)
-	}
-}

@@ -34,9 +34,8 @@ import (
 // budget, so a resume may extend the budget and continue — bit-identical
 // to having run with the larger budget from the start (pinned by golden
 // test). Alongside the blob, the engine's cross-generation fitness
-// cache and throughput memo are spilled; both are bit-exact
-// pure-function caches, so reloading them on resume only saves
-// recomputation.
+// cache is spilled; it is a bit-exact pure-function cache, so reloading
+// it on resume only saves recomputation.
 //
 // Degradation contract (same as every cachestore consumer): a missing,
 // damaged, foreign, or incompatible checkpoint never fails a run —
@@ -361,11 +360,11 @@ func (c *checkpointer) maybe(gensDone int, mk func() *ckptState) {
 // island-model cadence), on interruption (the state a resume continues
 // from), and on completion of the generational phase (so a resume with
 // a larger MaxGenerations extends the run). It encodes and atomically
-// lands the checkpoint blob, then spills the engine's fitness cache and
-// throughput memo next to it. Failures are logged and swallowed: a lost
-// checkpoint costs re-evolution after a crash, never correctness — and
-// the previous checkpoint file, if any, survives any failed write
-// (atomicity is pinned by the cachestore fault-injection tests).
+// lands the checkpoint blob, then spills the engine's fitness cache next
+// to it. Failures are logged and swallowed: a lost checkpoint costs
+// re-evolution after a crash, never correctness — and the previous
+// checkpoint file, if any, survives any failed write (atomicity is
+// pinned by the cachestore fault-injection tests).
 func (c *checkpointer) save(gensDone int, mk func() *ckptState) {
 	if !c.enabled() {
 		return
@@ -386,11 +385,6 @@ func (c *checkpointer) save(gensDone int, mk func() *ckptState) {
 	if entries := c.svc.FitCacheSnapshot(); len(entries) > 0 {
 		if err := engine.SaveFitCache(engine.FitCachePath(c.dir), c.set, entries); err != nil {
 			c.log("fitness-cache spill failed (run continues): %v", err)
-		}
-	}
-	if entries := c.svc.MemoSnapshot(); len(entries) > 0 {
-		if err := engine.SaveMemo(engine.MemoPath(c.dir), c.set, entries); err != nil {
-			c.log("memo spill failed (run continues): %v", err)
 		}
 	}
 	c.log("checkpoint written at generation %d (%s)", gensDone, CheckpointPath(c.dir))

@@ -43,12 +43,11 @@
 // generation. Several islands each draw from their own stream, split
 // deterministically from the master stream, and evaluate serially
 // through a private engine.BatchEvaluator. All islands share one
-// engine.Service — and with it the lock-free throughput memo and the
-// cross-generation fitness cache. Because islands only interact at epoch
-// barriers (migration is applied serially, collect-then-apply) and every
-// shared cache is a bit-exact memo of a pure function, a fixed Seed and
-// a fixed Islands produce bit-identical results regardless of Workers or
-// goroutine scheduling.
+// engine.Service — and with it the cross-generation fitness cache.
+// Because islands only interact at epoch barriers (migration is applied
+// serially, collect-then-apply) and the shared cache is a bit-exact memo
+// of a pure function, a fixed Seed and a fixed Islands produce
+// bit-identical results regardless of Workers or goroutine scheduling.
 package evo
 
 import (
@@ -153,11 +152,12 @@ type Options struct {
 	// Seed makes runs reproducible.
 	Seed int64
 	// DisableCache turns off the redundancy-exploiting evaluation layer:
-	// the engine's shared throughput memo, the duplicate-candidate skip,
-	// and the incremental (delta) scoring of local-search probes — each
-	// probe is scored by a full evaluation instead. Results are
-	// bit-identical either way (pinned by test); the knob exists for
-	// benchmarking and debugging. Also forces FitnessCacheEntries off.
+	// the cross-generation fitness cache (FitnessCacheEntries is forced
+	// off), the per-generation duplicate-candidate skip, and the
+	// incremental (delta) scoring of local-search probes — each probe is
+	// scored by a full evaluation instead. Fitness predictions take the
+	// same engine path either way. Results are bit-identical either way
+	// (pinned by test); the knob exists for benchmarking and debugging.
 	DisableCache bool
 	// FitnessCacheEntries bounds the engine's cross-generation fitness
 	// cache (whole-mapping fingerprint -> Davg, slots rounded up to a
@@ -180,16 +180,6 @@ type Options struct {
 	// the OSACA-style validation/refinement use case of §6). Mappings
 	// must cover the instruction set with the configured port count.
 	SeedMappings []*portmap.Mapping
-	// MemoWarm seeds the engine's throughput memo with entries spilled
-	// by a previous run against the SAME experiment set
-	// (engine.LoadMemo). Bit-exact: warm entries are the floats a fresh
-	// evaluation would produce, so results never depend on the warm
-	// start. Ignored when DisableCache is set.
-	MemoWarm []cachetable.Entry
-	// SnapshotMemo captures the memo's live entries into
-	// Result.MemoSnapshot when the run completes, for persistence via
-	// engine.SaveMemo.
-	SnapshotMemo bool
 	// CheckpointDir enables crash-safe checkpointing: every
 	// CheckpointInterval generations (and at every migration barrier, on
 	// interruption, and on completion of the generational phase) the
@@ -264,14 +254,10 @@ type Result struct {
 	FitnessEvaluations int
 	// History records per-generation statistics.
 	History []GenStats
-	// CacheStats snapshots the engine's evaluation counters (memo hits,
-	// delta evaluations, experiments skipped, disk-warm traffic) at the
-	// end of the run.
+	// CacheStats snapshots the engine's evaluation counters (kernel
+	// calls, delta evaluations, experiments skipped, fitness-cache
+	// traffic) at the end of the run.
 	CacheStats engine.CacheStats
-	// MemoSnapshot holds the memo's live entries when
-	// Options.SnapshotMemo was set (nil otherwise), ready for
-	// engine.SaveMemo.
-	MemoSnapshot []cachetable.Entry
 }
 
 // individual carries a candidate mapping with cached objectives.
@@ -335,12 +321,11 @@ func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 	setFP := engine.ExpSetFingerprint(set)
 	ckptKey := checkpointKey(setFP, opts, plan)
 
-	// Resume restores the checkpoint (and the cache spills next to it)
-	// before the Service exists, so warm entries ride in through the
+	// Resume restores the checkpoint (and the fitness-cache spill next to
+	// it) before the Service exists, so warm entries ride in through the
 	// service options. Every failure path cold-starts with a diagnostic.
 	var restored *ckptState
 	fitWarm := []cachetable.Entry(nil)
-	memoWarm := opts.MemoWarm
 	if opts.Resume && opts.CheckpointDir != "" {
 		st, err := loadCheckpoint(opts.CheckpointDir, ckptKey, set.NumInsts, opts.NumPorts)
 		if err != nil {
@@ -356,13 +341,9 @@ func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 			if entries, err := engine.LoadFitCache(engine.FitCachePath(opts.CheckpointDir), set); err == nil {
 				fitWarm = entries
 			}
-			if entries, err := engine.LoadMemo(engine.MemoPath(opts.CheckpointDir), set); err == nil {
-				memoWarm = append(append([]cachetable.Entry(nil), memoWarm...), entries...)
-			}
 		}
 	}
 
-	memoEntries := 0
 	fitEntries := opts.FitnessCacheEntries
 	if fitEntries == 0 {
 		fitEntries = defaultFitCacheEntries
@@ -370,14 +351,9 @@ func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 	if fitEntries < 0 || opts.DisableCache {
 		fitEntries = 0
 	}
-	if opts.DisableCache {
-		memoEntries = -1
-	}
 	svc, err := engine.NewService(set, engine.ServiceOptions{
 		Workers:         opts.Workers,
 		Predictor:       opts.Engine,
-		MemoEntries:     memoEntries,
-		MemoWarm:        memoWarm,
 		FitCacheEntries: fitEntries,
 		FitCacheWarm:    fitWarm,
 	})
@@ -407,9 +383,6 @@ func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 		res.BestVolume = b.volume
 		res.FitnessEvaluations = svc.Evaluations()
 		res.CacheStats = svc.Stats()
-		if opts.SnapshotMemo {
-			res.MemoSnapshot = svc.MemoSnapshot()
-		}
 		return res
 	}
 	if err != nil {

@@ -427,13 +427,12 @@ func TestAccuracyWeightEscapesCompactnessTrap(t *testing.T) {
 	}
 }
 
-// TestCacheOnOffBitIdentical is the golden pin for the memoized and
-// incremental evaluation layer: a fixed-seed Run must return a
+// TestCacheOnOffBitIdentical is the golden pin for the
+// redundancy-exploiting evaluation layer: a fixed-seed Run must return a
 // bit-identical result — same Best mapping, same Davg, same volume, same
-// per-generation history — with the caching layer enabled (memo +
-// duplicate skip + delta local search over memoized predictions) and
-// disabled. Exercised across several seeds and with local search on and
-// off.
+// per-generation history — with the layer enabled (fitness cache +
+// duplicate skip + delta local search) and disabled. Exercised across
+// several seeds and with local search on and off.
 func TestCacheOnOffBitIdentical(t *testing.T) {
 	set := measuredSet(t, hiddenMapping())
 	for _, localSearch := range []bool{true, false} {
@@ -480,24 +479,35 @@ func TestCacheOnOffBitIdentical(t *testing.T) {
 				}
 			}
 			// The cached run must actually have exercised the caching
-			// layer, and the plain run must not have.
-			if cached.CacheStats.MemoHits == 0 {
-				t.Errorf("seed %d %s: cached run recorded no memo hits", seed, tag)
+			// layer, and the plain run must not have: no fitness cache,
+			// no delta evaluation, and no duplicate skip (every
+			// candidate of every generation evaluated).
+			if cs := cached.CacheStats; cs.FitCacheEntries == 0 || cs.FitCacheHits+cs.FitCacheMisses == 0 {
+				t.Errorf("seed %d %s: cached run made no fitness-cache lookups: %+v", seed, tag, cs)
 			}
-			if plain.CacheStats.MemoHits != 0 || plain.CacheStats.MemoMisses != 0 {
-				t.Errorf("seed %d %s: DisableCache run recorded memo traffic: %+v",
-					seed, tag, plain.CacheStats)
+			if ps := plain.CacheStats; ps.FitCacheEntries != 0 || ps.FitCacheHits != 0 || ps.FitCacheMisses != 0 || ps.DeltaEvaluations != 0 {
+				t.Errorf("seed %d %s: DisableCache run used the fitness cache or delta evaluation: %+v", seed, tag, ps)
 			}
 			if localSearch && cached.CacheStats.DeltaEvaluations == 0 {
 				t.Errorf("seed %d %s: local search performed no delta evaluations", seed, tag)
+			}
+			if !localSearch {
+				if all := opts.PopulationSize * (plain.Generations + 1); plain.FitnessEvaluations != all {
+					t.Errorf("seed %d %s: DisableCache run evaluated %d candidates, want all %d",
+						seed, tag, plain.FitnessEvaluations, all)
+				}
+				if cached.FitnessEvaluations >= plain.FitnessEvaluations {
+					t.Errorf("seed %d %s: cached run skipped no candidates (%d evaluations)",
+						seed, tag, cached.FitnessEvaluations)
+				}
 			}
 		}
 	}
 }
 
 // TestCacheOnOffBitIdenticalGenericEngine pins the same property through
-// a generic (non-fast-path) predictor, where the memo is inactive but
-// the duplicate skip and delta local search still apply.
+// a generic (non-fast-path) predictor, where the fitness cache, the
+// duplicate skip and delta local search apply just the same.
 func TestCacheOnOffBitIdenticalGenericEngine(t *testing.T) {
 	set := measuredSet(t, hiddenMapping())
 	eng, err := engine.ByName("union")

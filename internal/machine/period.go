@@ -44,7 +44,7 @@ import (
 // periods' growth before the tail is simulated, not only in the result.
 // The result is bit-identical to full simulation — the arithmetic is
 // exact — up to the ~2^-128 odds of a two-lane hash collision, the same
-// regime as the engine's fingerprint memo.
+// regime as the fingerprint-keyed caches.
 //
 // The canonical encoding:
 //

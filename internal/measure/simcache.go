@@ -34,10 +34,10 @@ import (
 // Keys hash the machine fingerprint, the iteration counts, and the
 // canonical body (spec-content fingerprints plus register read/write
 // lists); key equality stands in for input equality at the same ~2^-64
-// odds as the engine's fingerprint memo. The machine fingerprint in
+// odds as a decomposition fingerprint. The machine fingerprint in
 // every key also versions disk-loaded entries: a cache file from a
 // different simulator configuration simply never hits. Storage is the
-// bounded XOR-tagged atomic table shared with the engine memo
+// bounded XOR-tagged atomic table shared with the engine's fitness cache
 // (internal/cachetable).
 
 // simCacheEntries bounds the shared cache: 2^16 slots × 16 bytes = 1 MiB,

@@ -6,8 +6,9 @@ import "fmt"
 // 64-bit fingerprint, a hash of its canonical []UopCount form. Two
 // decompositions with the same multiset of µops have the same fingerprint;
 // distinct decompositions collide with probability ~2^-64. The engine's
-// throughput memo and the evolutionary algorithm's duplicate-candidate
-// skip treat fingerprint equality as decomposition equality.
+// per-worker unit-table cache and the evolutionary algorithm's
+// duplicate-candidate skip and fitness cache treat fingerprint equality
+// as decomposition equality.
 //
 // Fingerprints are maintained eagerly by every mutating method of Mapping
 // (SetDecomp, AddUop, SetUopCount, RemoveUopAt, InsertUopAt) and copied by
@@ -31,9 +32,8 @@ func mix64(x uint64) uint64 {
 }
 
 // CombineFingerprints chains fingerprint fp into hash state h: the
-// mixing step shared by FingerprintAll and the engine's per-experiment
-// memo keys (which hash the fingerprint tuple of an experiment's
-// instructions).
+// mixing step shared by FingerprintAll and the content keys built on it
+// (engine.ExpSetFingerprint, the evolution checkpoint key).
 func CombineFingerprints(h, fp uint64) uint64 {
 	return mix64(h ^ fp)
 }
@@ -60,9 +60,10 @@ func FingerprintDecomp(uops []UopCount) uint64 {
 //
 // Under the `pmevodebug` build tag every cached read is verified against
 // a recomputation and panics on mismatch, catching the one way to corrupt
-// the engine's memo layer: writing Mapping.Decomp directly without
-// calling InvalidateFingerprints. The release build skips the check (the
-// comparison would double the cost of the hottest read in the engine).
+// the engine's fingerprint-keyed caches: writing Mapping.Decomp directly
+// without calling InvalidateFingerprints. The release build skips the
+// check (the comparison would double the cost of the hottest read in the
+// engine).
 func (m *Mapping) Fingerprint(inst int) uint64 {
 	if inst < len(m.fps) {
 		if fp := m.fps[inst]; fp != 0 {

@@ -7,7 +7,7 @@ import "testing"
 // TestDebugFingerprintPanicsOnStaleRead pins the `pmevodebug` assertion:
 // after a direct Decomp write (bypassing the fingerprint-maintaining
 // methods), the very next Fingerprint read must panic instead of
-// silently feeding a stale key into the engine's memo.
+// silently feeding a stale key into the engine's unit-table cache.
 func TestDebugFingerprintPanicsOnStaleRead(t *testing.T) {
 	m := NewMapping(2, 4)
 	m.SetDecomp(0, []UopCount{{Ports: MakePortSet(0), Count: 1}})

@@ -525,7 +525,7 @@ func BenchmarkMergeTerms(b *testing.B) {
 }
 
 // TestBottleneckPartsBitIdentical: evaluating an experiment through
-// pre-flattened per-instruction parts (the engine's memo-miss path) must
+// pre-flattened per-instruction parts (the engine's route above 11 ports) must
 // be bit-identical to ThroughputOf on random mappings and experiments,
 // including wide experiments that cross the indexed-merge cutoff.
 func TestBottleneckPartsBitIdentical(t *testing.T) {

@@ -88,9 +88,9 @@ type Result = core.Result
 // reproduces the single-population algorithm bit-exactly.
 type EvoOptions = evo.Options
 
-// CacheStats reports the fitness engine's cache activity after a run:
-// the per-experiment throughput memo and the cross-generation fitness
-// cache (see Result.Evo.CacheStats).
+// CacheStats reports the fitness engine's evaluation counters after a
+// run: evaluations, fast-path kernel calls, delta evaluations and the
+// cross-generation fitness cache (see Result.Evo.CacheStats).
 type CacheStats = engine.CacheStats
 
 // VirtualProcessor is one of the simulated evaluation machines
