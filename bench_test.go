@@ -292,10 +292,10 @@ func pairTableWorkload(ports int) [][]throughput.TablePart {
 // BenchmarkFitnessEvolution measures the population fitness loop at
 // QuickScale: the §4.4 evolutionary loop plus greedy local search over
 // the 12-instruction/8-port ablation set, with the redundancy-exploiting
-// layer (cross-generation fitness cache, duplicate-candidate skip, delta
-// local search) enabled. BenchmarkFitnessEvolutionNoCache is the same
-// loop with the layer disabled — results are bit-identical (pinned in
-// internal/evo) — so the pair quantifies the caching speedup. Both
+// layer (duplicate-candidate skip, delta local search) enabled.
+// BenchmarkFitnessEvolutionNoCache is the same loop with the layer
+// disabled — results are bit-identical (pinned in internal/evo) — so
+// the pair quantifies the caching speedup. Both
 // predict every experiment through the same unit-table kernel. The
 // evals/s metric is candidate Davg computations per second.
 

@@ -262,8 +262,6 @@ func main() {
 			"evaluations_islands":   float64(res.Island.Evaluations),
 			"evals_per_sec_single":  res.Single.EvalsPerSec,
 			"evals_per_sec_islands": res.Island.EvalsPerSec,
-			"fit_cache_hits":        float64(res.Island.FitCacheHits),
-			"fit_cache_hit_rate":    res.Island.FitCacheHitRate,
 			"generations_single":    float64(res.Single.Generations),
 			"generations_islands":   float64(res.Island.Generations),
 			"best_error_single":     res.Single.BestError,

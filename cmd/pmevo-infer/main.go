@@ -133,10 +133,6 @@ func main() {
 		run.SubISA.NumForms(), res.Classes.NumClasses(), res.CongruentFraction()*100)
 	fmt.Fprintf(os.Stderr, "[pmevo-infer] evolution: %d generations, %d fitness evaluations, Davg = %.3f\n",
 		res.Evo.Generations, res.Evo.FitnessEvaluations, res.Evo.BestError)
-	if st := res.Evo.CacheStats; st.FitCacheHits+st.FitCacheMisses > 0 {
-		logf("cross-generation fitness cache: %d hits, %d misses (%d slots)",
-			st.FitCacheHits, st.FitCacheMisses, st.FitCacheEntries)
-	}
 	fmt.Fprintf(os.Stderr, "[pmevo-infer] mapping uses %d distinct µops; total time %s\n",
 		res.NumUops(), time.Since(start).Round(time.Millisecond))
 

@@ -11,8 +11,8 @@ import (
 // portmap.Mapping must only change through the fingerprint-maintaining
 // mutators (SetDecomp, SetUopCount, RemoveUopAt, InsertUopAt, AddUop).
 // A direct write to m.Decomp leaves the cached per-instruction
-// fingerprints stale, which silently poisons every fingerprint-keyed
-// cache (unit tables, fitness cache, kernel-sim cache) downstream.
+// fingerprints stale, which silently poisons everything keyed by them
+// downstream: the engine's unit tables and evo's duplicate skip.
 type fpguard struct{}
 
 func (*fpguard) Name() string { return "fpguard" }

@@ -1,12 +1,11 @@
 // Package cachestore persists cachetable.Table contents between
 // processes: a versioned, checksummed, bounded, atomically-written
 // on-disk spill format. It is the warm-start layer under the
-// measurement harness's kernel-simulation cache and period hints and
-// the engine's cross-generation fitness cache — repeated inference on
-// the same ISA reloads pure, expensively derived values (noiseless
-// steady-state cycles, whole-mapping Davg) instead of re-deriving them
-// — and the container for evolution checkpoints (opaque blobs under the
-// same framing).
+// measurement harness's kernel-simulation cache and period hints —
+// repeated inference on the same ISA reloads pure, expensively derived
+// values (noiseless steady-state cycles, period hints) instead of
+// re-deriving them — and the container for evolution checkpoints
+// (opaque blobs under the same framing).
 //
 // The store is safe by construction:
 //
@@ -17,11 +16,11 @@
 //     simply cold-starts. Cached values are pure functions of their
 //     keys, so a loaded entry can change timing but never results.
 //   - Files carry a format version, a consumer schema tag, and a
-//     caller-supplied content key (e.g. the fingerprint of the
-//     experiment set a fitness cache was built against); any mismatch reads as
-//     empty. Consumers whose keys are already self-versioning (the
-//     kernel cache hashes the machine fingerprint into every key) use a
-//     fixed content key.
+//     caller-supplied content key (e.g. the evolution checkpoint's hash
+//     of its experiment set and options); any mismatch reads as empty.
+//     Consumers whose keys are already self-versioning (the kernel
+//     cache hashes the machine fingerprint into every key) use a fixed
+//     content key.
 //   - A whole-file checksum (seeded FNV-1a over header and payload)
 //     rejects truncation and corruption, including byte-order damage:
 //     the encoding is fixed little-endian, and a file written with the
@@ -51,15 +50,15 @@ import (
 )
 
 // Schema tags identify the consumer that wrote a file; a file is only
-// ever loaded by the schema that wrote it. Tag 2 is retired and stays
-// reserved: it marked the engine's per-experiment throughput memo
-// (fitness-memo.pmc), and no later schema may reuse it, so such a file
+// ever loaded by the schema that wrote it. Tags 2 and 5 are retired and
+// stay reserved: they marked the engine's per-experiment throughput
+// memo (fitness-memo.pmc) and its cross-generation fitness cache
+// (fitness-cache.pmc). No later schema may reuse them, so such a file
 // never decodes as another schema.
 const (
 	SchemaSimCache      uint32 = 1 // measure: kernel-simulation cache
 	SchemaPeriodHints   uint32 = 3 // measure: per-body steady-state period hints
 	SchemaEvoCheckpoint uint32 = 4 // evo: checkpoint blob (populations, RNG, counters)
-	SchemaFitnessCache  uint32 = 5 // engine: cross-generation fitness cache
 )
 
 // Typed load diagnostics. Load and LoadBlob return exactly one of
@@ -97,8 +96,7 @@ const formatVersion uint32 = 1
 
 // MaxFileEntries bounds both what Save writes and what Load accepts:
 // 2^20 entries × 16 bytes = 16 MiB, comfortably above every bounded
-// in-memory table (the kernel cache and the default fitness cache have
-// 2^16 slots).
+// in-memory table (the kernel cache has 2^16 slots).
 const MaxFileEntries = 1 << 20
 
 // MaxBlobBytes bounds blob payloads (SaveBlob/LoadBlob) the same way
@@ -303,13 +301,4 @@ func LoadBlob(path string, schema uint32, contentKey uint64) ([]byte, error) {
 // or between benchmark phases.
 func SaveTable(path string, schema uint32, contentKey uint64, t *cachetable.Table) error {
 	return Save(path, schema, contentKey, t.Snapshot())
-}
-
-// LoadTable reloads a spilled file into a table, returning the number
-// of entries stored and the empty-load diagnostic (see Load). Entries
-// land with overwrite-on-collision semantics, so the table's bound
-// holds regardless of the file's size.
-func LoadTable(path string, schema uint32, contentKey uint64, t *cachetable.Table) (int, error) {
-	entries, err := Load(path, schema, contentKey)
-	return t.LoadEntries(entries), err
 }

@@ -187,7 +187,6 @@ var allSchemas = []struct {
 	{"SchemaSimCache", SchemaSimCache},
 	{"SchemaPeriodHints", SchemaPeriodHints},
 	{"SchemaEvoCheckpoint", SchemaEvoCheckpoint},
-	{"SchemaFitnessCache", SchemaFitnessCache},
 }
 
 func TestDamageMatrixCoversEverySchema(t *testing.T) {
@@ -233,46 +232,53 @@ func TestDamageMatrixCoversEverySchema(t *testing.T) {
 
 // TestLoadRejectsMismatchedIdentity: a structurally valid file written
 // by another consumer or against other inputs must read as empty — and
-// so must a spill under the retired tag 2 (the engine's old throughput
-// memo), under every live schema.
+// so must a spill under a retired tag (2: the engine's old throughput
+// memo, 5: its old cross-generation fitness cache), under every live
+// schema.
 func TestLoadRejectsMismatchedIdentity(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.pmc")
 	if err := Save(path, SchemaSimCache, 0xabc, sampleEntries(4)); err != nil {
 		t.Fatal(err)
 	}
-	if entries, err := Load(path, SchemaFitnessCache, 0xabc); len(entries) != 0 || !errors.Is(err, ErrSchema) {
+	if entries, err := Load(path, SchemaPeriodHints, 0xabc); len(entries) != 0 || !errors.Is(err, ErrSchema) {
 		t.Fatalf("wrong schema: %d entries, err %v", len(entries), err)
 	}
 	if entries, err := Load(path, SchemaSimCache, 0xdef); len(entries) != 0 || !errors.Is(err, ErrContentKey) {
 		t.Fatalf("wrong content key: %d entries, err %v", len(entries), err)
 	}
-	const retiredMemoSchema = 2
-	if err := Save(path, retiredMemoSchema, 0xabc, sampleEntries(4)); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range allSchemas {
-		if s.schema == retiredMemoSchema {
-			t.Fatalf("%s reuses the retired memo tag", s.name)
+	for _, retired := range []uint32{2, 5} {
+		if err := Save(path, retired, 0xabc, sampleEntries(4)); err != nil {
+			t.Fatal(err)
 		}
-		if entries, err := Load(path, s.schema, 0xabc); len(entries) != 0 || !errors.Is(err, ErrSchema) {
-			t.Fatalf("retired memo file read as %s: %d entries, err %v", s.name, len(entries), err)
+		for _, s := range allSchemas {
+			if s.schema == retired {
+				t.Fatalf("%s reuses the retired tag %d", s.name, retired)
+			}
+			if entries, err := Load(path, s.schema, 0xabc); len(entries) != 0 || !errors.Is(err, ErrSchema) {
+				t.Fatalf("retired tag-%d file read as %s: %d entries, err %v", retired, s.name, len(entries), err)
+			}
 		}
 	}
 }
 
+// TestTableRoundTrip spills a table with SaveTable and reloads it the
+// way measure does: Load, then LoadEntries into a fresh table.
 func TestTableRoundTrip(t *testing.T) {
 	src := cachetable.New(1 << 10)
 	for _, e := range sampleEntries(200) {
 		src.Put(e.Key, e.Val)
 	}
 	path := filepath.Join(t.TempDir(), "cache.pmc")
-	if err := SaveTable(path, SchemaFitnessCache, 7, src); err != nil {
+	if err := SaveTable(path, SchemaSimCache, 7, src); err != nil {
 		t.Fatal(err)
 	}
+	entries, err := Load(path, SchemaSimCache, 7)
+	if err != nil {
+		t.Fatalf("Load = %v", err)
+	}
 	dst := cachetable.New(1 << 10)
-	n, err := LoadTable(path, SchemaFitnessCache, 7, dst)
-	if err != nil || n == 0 {
-		t.Fatalf("LoadTable = %d, %v", n, err)
+	if n := dst.LoadEntries(entries); n != len(src.Snapshot()) {
+		t.Fatalf("LoadEntries stored %d entries, want %d", n, len(src.Snapshot()))
 	}
 	for _, e := range src.Snapshot() {
 		if v, ok := dst.Get(e.Key); !ok || v != e.Val {
@@ -295,7 +301,7 @@ func TestBlobRoundTrip(t *testing.T) {
 		t.Fatalf("blob = %q, want %q", got, want)
 	}
 	// Identity mismatches degrade exactly like entry files.
-	if _, err := LoadBlob(path, SchemaFitnessCache, 0x1234); !errors.Is(err, ErrSchema) {
+	if _, err := LoadBlob(path, SchemaSimCache, 0x1234); !errors.Is(err, ErrSchema) {
 		t.Fatalf("wrong schema: %v", err)
 	}
 	if _, err := LoadBlob(path, SchemaEvoCheckpoint, 0x9999); !errors.Is(err, ErrContentKey) {

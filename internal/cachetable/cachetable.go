@@ -1,7 +1,6 @@
-// Package cachetable provides the bounded, lock-free cache table shared
-// by the engine's cross-generation fitness cache and the measurement
-// layer's kernel-simulation and period-hint caches: a fixed-size array
-// of independently atomic slots, direct-mapped by key.
+// Package cachetable provides the bounded, lock-free cache table behind
+// the measurement layer's kernel-simulation and period-hint caches: a
+// fixed-size array of independently atomic slots, direct-mapped by key.
 //
 // Each slot packs (key, value) into two atomic words with the
 // transposition-table XOR trick: the tag word stores key ^ value, so a
@@ -57,9 +56,6 @@ func New(entries int) *Table {
 	}
 	return &Table{mask: uint64(size - 1), entries: make([]entry, size)}
 }
-
-// Len returns the slot count.
-func (t *Table) Len() int { return len(t.entries) }
 
 // Get returns the value stored for key, if present.
 func (t *Table) Get(key uint64) (uint64, bool) {

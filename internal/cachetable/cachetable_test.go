@@ -29,8 +29,8 @@ func TestNewClampsSize(t *testing.T) {
 		{math.MaxInt, MaxEntries},
 	}
 	for _, c := range cases {
-		if got := New(c.entries).Len(); got != c.want {
-			t.Errorf("New(%d).Len() = %d, want %d", c.entries, got, c.want)
+		if got := len(New(c.entries).entries); got != c.want {
+			t.Errorf("New(%d) has %d slots, want %d", c.entries, got, c.want)
 		}
 	}
 }
@@ -45,7 +45,7 @@ func TestGetPutClear(t *testing.T) {
 		t.Fatalf("Get(42) = %v, %v; want 99, true", v, ok)
 	}
 	// Colliding key (same slot) overwrites.
-	collide := 42 + uint64(tab.Len())
+	collide := 42 + uint64(len(tab.entries))
 	tab.Put(collide, 7)
 	if _, ok := tab.Get(42); ok {
 		t.Fatal("overwritten key still hit")

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"pmevo/internal/cachetable"
 	"pmevo/internal/exp"
 	"pmevo/internal/portmap"
 	"pmevo/internal/runctrl"
@@ -33,30 +32,11 @@ type ServiceOptions struct {
 	// to Default(); any other engine goes through the generic Predict
 	// interface.
 	Predictor Predictor
-	// FitCacheEntries bounds the cross-generation whole-mapping fitness
-	// cache (slots, rounded up to a power of two): FingerprintAll(m) →
-	// Davg(m). It skips the evaluation of a recurring candidate entirely
-	// — across generations, and across the islands of an island-model
-	// run sharing one Service. Values are the exact floats a fresh
-	// evaluation would produce (the cache holds a pure function of the
-	// mapping under the fixed experiment set), so hits never change
-	// results. <= 0 disables the cache (the zero-value option keeps the
-	// pre-existing Service behavior); consumers opt in with a size
-	// (evo.Run uses 2^16 slots by default).
-	FitCacheEntries int
-	// FitCacheWarm seeds the cross-generation fitness cache with entries
-	// from a previous run (Service.FitCacheSnapshot, spilled alongside an
-	// evolution checkpoint). Keys are whole-mapping fingerprints and
-	// values exact Davg bits, so warm entries are bit-identical to
-	// re-evaluating; a resumed run warm-started this way only saves
-	// recomputation. Ignored when FitCacheEntries <= 0.
-	FitCacheWarm []cachetable.Entry
 }
 
 // CacheStats is a snapshot of a Service's evaluation counters. The
-// delta and fitness-cache counters quantify how much redundant work the
-// Service skipped; pmevo-bench's fitness experiment reports the delta
-// counters.
+// delta counters quantify how much redundant work the Service skipped;
+// pmevo-bench's fitness experiment reports them.
 type CacheStats struct {
 	// Evaluations counts Davg computations: every candidate passed to
 	// Evaluate/EvaluateAll/NewState plus every EvaluateDelta probe.
@@ -79,13 +59,11 @@ type CacheStats struct {
 	// MemoEntries and MemoResizes always read 0 (see MemoHits).
 	MemoEntries int64
 	MemoResizes int64
-	// FitCacheHits / FitCacheMisses count cross-generation fitness-cache
-	// lookups (FitnessCacheGet): a hit skipped one whole candidate
-	// evaluation; FitCacheEntries is the cache size in slots (0 when
-	// disabled). Cross-generation hit rate = hits / (hits + misses).
-	FitCacheHits    int64
-	FitCacheMisses  int64
-	FitCacheEntries int64
+	// FitCacheHits and FitCacheMisses always read 0: the Service keeps
+	// no cross-generation fitness cache. They stay because perfbench
+	// reads them.
+	FitCacheHits   int64
+	FitCacheMisses int64
 }
 
 // Service evaluates candidate port mappings against a fixed measured
@@ -97,22 +75,18 @@ type CacheStats struct {
 // per-candidate hot loop allocates nothing.
 //
 // On the fast path every experiment costs one bottleneck kernel call.
-// The per-worker unit-table cache (see evalScratch) is the only
-// per-experiment cache; two further layers skip whole predictions:
+// The per-worker unit-table cache (see evalScratch) is the only cache.
+// The incremental NewState/EvaluateDelta API skips whole predictions:
+// re-evaluating after a single-instruction change only re-predicts the
+// experiments that contain the changed instruction, turning a
+// local-search probe from O(#experiments) into O(#experiments containing
+// the instruction).
 //
-//   - the incremental NewState/EvaluateDelta API: re-evaluating after a
-//     single-instruction change only re-predicts the experiments that
-//     contain the changed instruction, turning a local-search probe from
-//     O(#experiments) into O(#experiments containing the instruction);
-//   - the optional cross-generation fitness cache
-//     (ServiceOptions.FitCacheEntries), which skips recurring candidates.
-//
-// All layers are bit-exact: the unit-table kernel is bit-identical to
-// ThroughputOf, cached values are the exact floats a fresh evaluation
-// would produce (fingerprint equality stands in for decomposition
-// equality at ~2^-64 collision odds), and delta evaluation
-// re-accumulates the error sum in experiment order, so Davg is
-// bit-identical to a full evaluation.
+// Both are bit-exact: the unit-table kernel is bit-identical to
+// ThroughputOf (tables are keyed by decomposition fingerprint, which
+// stands in for decomposition equality at ~2^-64 collision odds), and
+// delta evaluation re-accumulates the error sum in experiment order, so
+// Davg is bit-identical to a full evaluation.
 //
 // Evaluate may be called concurrently; EvaluateAll runs one batch at a
 // time (per-worker state is reused across batches). Every entry point
@@ -134,12 +108,6 @@ type Service struct {
 	// i. EvaluateDelta re-predicts exactly these.
 	instExps [][]int32
 
-	// fitCache is the cross-generation whole-mapping fitness cache
-	// (FingerprintAll → Davg bits); nil when disabled. It is a bounded,
-	// lock-free cache of a pure function, shared by every goroutine —
-	// and every island — evaluating against this Service.
-	fitCache *cachetable.Table
-
 	workerSc []evalScratch // per-worker state for EvaluateAll
 	pool     sync.Pool     // *evalScratch for Evaluate
 
@@ -147,8 +115,6 @@ type Service struct {
 	deltaEvals   atomic.Int64
 	kernelCalls  atomic.Int64
 	deltaSkipped atomic.Int64
-	fitHits      atomic.Int64
-	fitMisses    atomic.Int64
 }
 
 // evalScratch is one worker's reusable evaluation state: the throughput
@@ -263,61 +229,7 @@ func NewService(set *exp.Set, opts ServiceOptions) (*Service, error) {
 			}
 		}
 	}
-
-	if opts.FitCacheEntries > 0 {
-		s.fitCache = cachetable.New(opts.FitCacheEntries)
-		s.fitCache.LoadEntries(opts.FitCacheWarm)
-	}
 	return s, nil
-}
-
-// FitnessCacheGet looks a candidate up in the cross-generation fitness
-// cache by its whole-mapping fingerprint (portmap.Mapping.FingerprintAll)
-// and returns the memoized Davg. The volume is not stored: it is an
-// exact integer recomputed in O(#µops) by the caller (Mapping.Volume),
-// far cheaper than one throughput prediction. Lookups are counted in
-// CacheStats.FitCacheHits/FitCacheMisses; with the cache disabled every
-// lookup is a (free, uncounted) miss.
-func (s *Service) FitnessCacheGet(fp uint64) (float64, bool) {
-	if s.fitCache == nil {
-		return 0, false
-	}
-	if fp == 0 {
-		fp = 1 // FingerprintAll never returns 0, but keep the key contract local
-	}
-	v, ok := s.fitCache.Get(fp)
-	if !ok {
-		s.fitMisses.Add(1)
-		return 0, false
-	}
-	s.fitHits.Add(1)
-	return math.Float64frombits(v), true
-}
-
-// FitnessCachePut stores a freshly evaluated candidate's Davg under its
-// whole-mapping fingerprint. The stored float is exactly what a future
-// evaluation would produce, so a later hit is bit-identical to
-// re-evaluating.
-func (s *Service) FitnessCachePut(fp uint64, davg float64) {
-	if s.fitCache == nil {
-		return
-	}
-	if fp == 0 {
-		fp = 1
-	}
-	s.fitCache.Put(fp, math.Float64bits(davg))
-}
-
-// FitCacheSnapshot returns the cross-generation fitness cache's live
-// entries for persistence (engine.SaveFitCache alongside an evolution
-// checkpoint). Call only at a quiesce point — after a run completes —
-// never concurrently with evaluation (see cachetable.Snapshot). Returns
-// nil when the cache is disabled.
-func (s *Service) FitCacheSnapshot() []cachetable.Entry {
-	if s.fitCache == nil {
-		return nil
-	}
-	return s.fitCache.Snapshot()
 }
 
 // NumExperiments returns the number of measurements the service
@@ -334,18 +246,12 @@ func (s *Service) Evaluations() int { return int(s.evals.Load()) }
 
 // Stats returns a snapshot of the evaluation counters.
 func (s *Service) Stats() CacheStats {
-	st := CacheStats{
+	return CacheStats{
 		Evaluations:             s.evals.Load(),
 		DeltaEvaluations:        s.deltaEvals.Load(),
 		MemoMisses:              s.kernelCalls.Load(),
 		DeltaExperimentsSkipped: s.deltaSkipped.Load(),
-		FitCacheHits:            s.fitHits.Load(),
-		FitCacheMisses:          s.fitMisses.Load(),
 	}
-	if s.fitCache != nil {
-		st.FitCacheEntries = int64(s.fitCache.Len())
-	}
-	return st
 }
 
 // experiment returns the i-th pre-flattened experiment without copying.
@@ -492,9 +398,8 @@ func (s *Service) EvaluateAll(ctx context.Context, ms []*portmap.Mapping, out []
 // shared per-worker scratches, any number of BatchEvaluators may evaluate
 // concurrently against the same Service — each island of an island-model
 // run owns one and evaluates its sub-population on its own goroutine,
-// while still sharing the Service's lock-free cross-generation fitness
-// cache (a bit-exact pure-function cache, so sharing never changes
-// results). A BatchEvaluator itself is not safe for concurrent use.
+// sharing only the Service's read-only experiment data and atomic
+// counters. A BatchEvaluator itself is not safe for concurrent use.
 //
 //pmevo:serial
 type BatchEvaluator struct {

@@ -10,6 +10,7 @@ package espec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,11 +64,14 @@ func (r *Resolver) suggest(fragment string) []string {
 }
 
 // Parse parses a list of "name[:count]" tokens into an experiment.
+// Repeated names merge; a count, or a merged total, that does not fit in
+// an int is an error.
 func (r *Resolver) Parse(tokens []string) (portmap.Experiment, error) {
 	if len(tokens) == 0 {
 		return nil, fmt.Errorf("espec: empty experiment specification")
 	}
 	var e portmap.Experiment
+	totals := make(map[int]int, len(tokens))
 	for _, tok := range tokens {
 		name, countStr, hasCount := strings.Cut(tok, ":")
 		if name == "" {
@@ -89,6 +93,10 @@ func (r *Resolver) Parse(tokens []string) (portmap.Experiment, error) {
 			}
 			return nil, fmt.Errorf("%s", msg)
 		}
+		if totals[idx] > math.MaxInt-count {
+			return nil, fmt.Errorf("espec: total count of %q overflows", name)
+		}
+		totals[idx] += count
 		e = append(e, portmap.InstCount{Inst: idx, Count: count})
 	}
 	return e.Normalize(), nil

@@ -44,6 +44,7 @@ func TestParseErrors(t *testing.T) {
 		{"add_r64_r64:x"},
 		{"nope_r64"},
 		{":3"},
+		{"add_r64_r64:4611686018427387904", "add_r64_r64:4611686018427387904"},
 	}
 	for _, toks := range cases {
 		if _, err := r.Parse(toks); err == nil {

@@ -15,14 +15,12 @@ import (
 )
 
 // EvoBenchResult reports the island-model evolution benchmark: the same
-// inference workload run with the pre-island single-population
-// configuration (Islands=1, no cross-generation fitness cache — the
-// exact production path before the island restructure) and with the
-// island-model configuration (Islands=N concurrent sub-populations
-// sharing one fitness service plus the cross-generation cache), at an
-// equal evaluation budget (same PopulationSize and MaxGenerations, so
-// both runs may perform at most Population×(MaxGenerations+1)
-// evaluations; either may use less through convergence and caching).
+// inference workload run with the single-population configuration
+// (Islands=1) and with the island-model configuration (Islands=N
+// concurrent sub-populations sharing one fitness service), at an equal
+// evaluation budget (same PopulationSize and MaxGenerations, so both
+// runs may perform at most Population×(MaxGenerations+1) evaluations;
+// either may use less through convergence and the duplicate skip).
 //
 // Local search is disabled in both runs: it is a serial final phase
 // identical in either configuration (its cost is measured by the
@@ -33,8 +31,8 @@ import (
 // results are not expected to be bit-identical — both Davg values are
 // reported. The determinism and bit-exactness contracts of the island
 // model itself (Islands=1 ≡ legacy, results independent of Workers,
-// cache on/off equality) are pinned by the internal/evo tests, not
-// here.
+// DisableCache on/off equality) are pinned by the internal/evo tests,
+// not here.
 type EvoBenchResult struct {
 	NumInsts    int
 	NumPorts    int
@@ -59,14 +57,8 @@ type EvoBenchRun struct {
 	Evaluations int
 	EvalsPerSec float64
 	Generations int
-	// FitCacheHits/Misses and FitCacheHitRate report the
-	// cross-generation fitness cache (zero in the single run, which
-	// disables it).
-	FitCacheHits    int64
-	FitCacheMisses  int64
-	FitCacheHitRate float64
-	BestError       float64
-	BestVolume      int
+	BestError   float64
+	BestVolume  int
 }
 
 // evoBenchInsts/Ports fix the synthetic hidden machine of the evolution
@@ -127,9 +119,6 @@ func RunEvoBench(ctx context.Context, scale Scale) (*EvoBenchResult, error) {
 			MigrationInterval: scale.MigrationInterval,
 			MigrationCount:    scale.MigrationCount,
 		}
-		if islands <= 1 {
-			opts.FitnessCacheEntries = -1 // the pre-island production configuration
-		}
 		start := time.Now()
 		r, err := evo.Run(ctx, set, opts)
 		if err != nil {
@@ -137,19 +126,14 @@ func RunEvoBench(ctx context.Context, scale Scale) (*EvoBenchResult, error) {
 		}
 		secs := time.Since(start).Seconds()
 		out := EvoBenchRun{
-			Seconds:        secs,
-			Evaluations:    r.FitnessEvaluations,
-			Generations:    r.Generations,
-			FitCacheHits:   r.CacheStats.FitCacheHits,
-			FitCacheMisses: r.CacheStats.FitCacheMisses,
-			BestError:      r.BestError,
-			BestVolume:     r.BestVolume,
+			Seconds:     secs,
+			Evaluations: r.FitnessEvaluations,
+			Generations: r.Generations,
+			BestError:   r.BestError,
+			BestVolume:  r.BestVolume,
 		}
 		if secs > 0 {
 			out.EvalsPerSec = float64(r.FitnessEvaluations) / secs
-		}
-		if total := out.FitCacheHits + out.FitCacheMisses; total > 0 {
-			out.FitCacheHitRate = float64(out.FitCacheHits) / float64(total)
 		}
 		return out, nil
 	}
@@ -189,9 +173,8 @@ func (r *EvoBenchResult) Render() string {
 	fmt.Fprintf(&b, "island run: %d islands, migration every %d generations, %d emigrants\n\n",
 		r.Islands, r.MigrationInterval, r.MigrationCount)
 	row := func(name string, run EvoBenchRun) {
-		fmt.Fprintf(&b, "%-8s %9.3fs  %8d evals  %10.0f evals/s  %3d gens  fit-cache %d/%d (%.0f%%)  Davg=%.6g V=%d\n",
+		fmt.Fprintf(&b, "%-8s %9.3fs  %8d evals  %10.0f evals/s  %3d gens  Davg=%.6g V=%d\n",
 			name, run.Seconds, run.Evaluations, run.EvalsPerSec, run.Generations,
-			run.FitCacheHits, run.FitCacheHits+run.FitCacheMisses, 100*run.FitCacheHitRate,
 			run.BestError, run.BestVolume)
 	}
 	row("single", r.Single)
@@ -203,7 +186,7 @@ func (r *EvoBenchResult) Render() string {
 
 // WriteCSV emits the two timed runs for machine comparison.
 func (r *EvoBenchResult) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "config,islands,seconds,evaluations,evals_per_sec,generations,fit_cache_hits,fit_cache_misses,fit_cache_hit_rate,best_error,best_volume"); err != nil {
+	if _, err := fmt.Fprintln(w, "config,islands,seconds,evaluations,evals_per_sec,generations,best_error,best_volume"); err != nil {
 		return err
 	}
 	for _, row := range []struct {
@@ -211,10 +194,9 @@ func (r *EvoBenchResult) WriteCSV(w io.Writer) error {
 		islands int
 		run     EvoBenchRun
 	}{{"single", 1, r.Single}, {"islands", r.Islands, r.Island}} {
-		if _, err := fmt.Fprintf(w, "%s,%d,%.6f,%d,%.1f,%d,%d,%d,%.4f,%.8g,%d\n",
+		if _, err := fmt.Fprintf(w, "%s,%d,%.6f,%d,%.1f,%d,%.8g,%d\n",
 			row.name, row.islands, row.run.Seconds, row.run.Evaluations, row.run.EvalsPerSec,
-			row.run.Generations, row.run.FitCacheHits, row.run.FitCacheMisses,
-			row.run.FitCacheHitRate, row.run.BestError, row.run.BestVolume); err != nil {
+			row.run.Generations, row.run.BestError, row.run.BestVolume); err != nil {
 			return err
 		}
 	}

@@ -37,16 +37,6 @@ func TestRunEvoBenchQuick(t *testing.T) {
 			t.Errorf("%s: implausible result Davg=%v V=%d", name, run.BestError, run.BestVolume)
 		}
 	}
-	// The single run is the pre-island configuration: no fitness cache.
-	if res.Single.FitCacheHits != 0 || res.Single.FitCacheMisses != 0 {
-		t.Errorf("single run used the fitness cache: %d/%d",
-			res.Single.FitCacheHits, res.Single.FitCacheMisses)
-	}
-	// The island run has it on: every evaluated candidate is at least a
-	// recorded miss.
-	if res.Island.FitCacheHits+res.Island.FitCacheMisses == 0 {
-		t.Error("island run never touched the fitness cache")
-	}
 	out := res.Render()
 	if !strings.Contains(out, "single") || !strings.Contains(out, "islands") ||
 		!strings.Contains(out, "speedup") {

@@ -17,8 +17,8 @@ import (
 // FitnessBenchResult reports the fitness-evaluation throughput of the
 // evolutionary hot loop: a full inference run (evolution plus greedy
 // local search) on a synthetic hidden machine, measured with evo's
-// redundancy-exploiting layer (fitness cache, duplicate skip, delta
-// local search) on and off. The results are bit-identical by
+// redundancy-exploiting layer (duplicate skip, delta local search) on
+// and off. The results are bit-identical by
 // construction (pinned in internal/evo); only the cost differs.
 type FitnessBenchResult struct {
 	NumInsts    int

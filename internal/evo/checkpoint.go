@@ -9,7 +9,6 @@ import (
 	"slices"
 
 	"pmevo/internal/cachestore"
-	"pmevo/internal/engine"
 	"pmevo/internal/exp"
 	"pmevo/internal/portmap"
 )
@@ -33,9 +32,7 @@ import (
 // excluded: the trajectory through generation g is independent of the
 // budget, so a resume may extend the budget and continue — bit-identical
 // to having run with the larger budget from the start (pinned by golden
-// test). Alongside the blob, the engine's cross-generation fitness
-// cache is spilled; it is a bit-exact pure-function cache, so reloading
-// it on resume only saves recomputation.
+// test). The blob is the only file a checkpoint writes.
 //
 // Degradation contract (same as every cachestore consumer): a missing,
 // damaged, foreign, or incompatible checkpoint never fails a run —
@@ -53,6 +50,20 @@ const ckptPayloadVersion uint32 = 2
 // defaultCheckpointInterval is the periodic checkpoint cadence (in
 // generations) when Options.CheckpointInterval is 0.
 const defaultCheckpointInterval = 10
+
+// maxDrawsPerUnit bounds an island's checkpointed RNG draw count per
+// (generation+1) × individual × instruction. Resume replays the draws
+// one at a time (countingSource.skip), so a checksum-valid file with a
+// huge count would stall it; the decoder rejects such a file instead.
+// Initialization and recombination draw per µop occurrence, so the rate
+// grows with the µop multiplicities. Measured at every generation
+// boundary, it stays below 5.8 in this package's tests and reaches 15.1
+// (SKL), 23.3 (ZEN) and 17.4 (A72) in pmevo-infer runs with one form per
+// class, population 120, 30 generations and seed 5. 1024 leaves 44×
+// headroom over the largest. A false rejection only cold-starts, and a
+// cold start's result is bit-identical to the resumed one, so it costs
+// time, never correctness.
+const maxDrawsPerUnit = 1024
 
 // planCheckpointInterval clamps Options.CheckpointInterval in the
 // planIslands style: 0 selects the default, negative disables periodic
@@ -89,12 +100,35 @@ type ckptState struct {
 	islands []ckptIsland
 }
 
+// expSetFingerprint returns a 64-bit content hash of a measured
+// experiment set: the instruction count, the individual throughputs,
+// every experiment's terms in order, and the exact bits of every
+// measured throughput. It is the experiment-set part of checkpointKey.
+func expSetFingerprint(set *exp.Set) uint64 {
+	h := portmap.CombineFingerprints(0x706d65766f736574, uint64(set.NumInsts)) // "pmevoset"
+	for _, v := range set.Individual {
+		h = portmap.CombineFingerprints(h, math.Float64bits(v))
+	}
+	for _, m := range set.Measurements {
+		h = portmap.CombineFingerprints(h, uint64(len(m.Exp)))
+		for _, t := range m.Exp {
+			h = portmap.CombineFingerprints(h, uint64(t.Inst))
+			h = portmap.CombineFingerprints(h, uint64(t.Count))
+		}
+		h = portmap.CombineFingerprints(h, math.Float64bits(m.Throughput))
+	}
+	if h == 0 {
+		h = 1
+	}
+	return h
+}
+
 // checkpointKey derives the content key gating a checkpoint file: the
 // experiment-set fingerprint combined with every option that shapes the
 // generational trajectory. Two runs agree on this key iff they walk the
 // same trajectory generation by generation — which is exactly when
 // resuming one from the other's checkpoint is sound. Budget
-// (MaxGenerations), local search, Workers, and cache sizing are
+// (MaxGenerations), local search, Workers and DisableCache are
 // excluded: none of them changes what generation g computes.
 func checkpointKey(setFingerprint uint64, opts Options, plan islandPlan) uint64 {
 	h := portmap.CombineFingerprints(0x706d65766f636b70, uint64(ckptPayloadVersion)) // "pmevockp"
@@ -267,6 +301,10 @@ func decodeCheckpoint(payload []byte, numInsts, numPorts int) (*ckptState, error
 		if c.err == nil && (nPop < 1 || nPop > 1<<24) {
 			return nil, fmt.Errorf("implausible population size %d", nPop)
 		}
+		if c.err == nil && float64(isl.draws) > maxDrawsPerUnit*float64(isl.gens+1)*float64(nPop)*float64(numInsts) {
+			return nil, fmt.Errorf("implausible RNG draw count %d for %d generations of %d individuals",
+				isl.draws, isl.gens, nPop)
+		}
 		for i := 0; i < nPop && c.err == nil; i++ {
 			ind := individual{
 				davg:   math.Float64frombits(c.u64()),
@@ -316,15 +354,12 @@ func decodeCheckpoint(payload []byte, numInsts, numPorts int) (*ckptState, error
 // checkpointer owns the run's checkpoint writes. All methods are
 // called from the coordinator goroutine at quiesce points (generation
 // boundaries, epoch barriers, interruption, completion) — never
-// concurrently with evaluation, so cache snapshots are safe. A nil
-// checkpointer (checkpointing disabled) turns every method into a
-// no-op.
+// concurrently with evaluation. A nil checkpointer (checkpointing
+// disabled) turns every method into a no-op.
 type checkpointer struct {
 	dir      string
 	interval int // periodic cadence in generations; < 0: periodic off
 	key      uint64
-	set      *exp.Set
-	svc      *engine.Service
 	numInsts int
 	numPorts int
 	logf     func(string, ...any)
@@ -360,8 +395,7 @@ func (c *checkpointer) maybe(gensDone int, mk func() *ckptState) {
 // island-model cadence), on interruption (the state a resume continues
 // from), and on completion of the generational phase (so a resume with
 // a larger MaxGenerations extends the run). It encodes and atomically
-// lands the checkpoint blob, then spills the engine's fitness cache next
-// to it. Failures are logged and swallowed: a lost checkpoint costs
+// lands the checkpoint blob. Failures are logged and swallowed: a lost checkpoint costs
 // re-evolution after a crash, never correctness — and the previous
 // checkpoint file, if any, survives any failed write (atomicity is
 // pinned by the cachestore fault-injection tests).
@@ -382,11 +416,6 @@ func (c *checkpointer) save(gensDone int, mk func() *ckptState) {
 	}
 	c.lastSig = sig
 	c.lastGens = gensDone
-	if entries := c.svc.FitCacheSnapshot(); len(entries) > 0 {
-		if err := engine.SaveFitCache(engine.FitCachePath(c.dir), c.set, entries); err != nil {
-			c.log("fitness-cache spill failed (run continues): %v", err)
-		}
-	}
 	c.log("checkpoint written at generation %d (%s)", gensDone, CheckpointPath(c.dir))
 }
 

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 
+	"pmevo/internal/cachestore"
+	"pmevo/internal/exp"
 	"pmevo/internal/faultfs"
 	"pmevo/internal/portmap"
 )
@@ -270,35 +272,95 @@ func TestResumeMissingCheckpointColdStarts(t *testing.T) {
 }
 
 // TestResumeMismatchedOptionsColdStarts: a checkpoint written under a
-// different seed (any trajectory-shaping option) must be rejected by
-// the content key, cold-starting with a diagnostic rather than
-// splicing incompatible state into the run.
+// different seed (any trajectory-shaping option) or against other
+// measurements must be rejected by the content key, cold-starting with a
+// diagnostic rather than splicing incompatible state into the run.
 func TestResumeMismatchedOptionsColdStarts(t *testing.T) {
+	cases := []struct {
+		name   string
+		change func(*Options, *exp.Set)
+	}{
+		{"different seed", func(o *Options, _ *exp.Set) { o.Seed = 12 }},
+		{"different experiment set", func(_ *Options, s *exp.Set) {
+			tp := &s.Measurements[0].Throughput
+			*tp = math.Nextafter(*tp, math.Inf(1))
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			wopts := ckptOpts()
+			wopts.MaxGenerations = 5
+			wopts.CheckpointDir = dir
+			if _, err := Run(context.Background(), measuredSet(t, hiddenMapping()), wopts); err != nil {
+				t.Fatal(err)
+			}
+
+			fresh, set := ckptOpts(), measuredSet(t, hiddenMapping())
+			tc.change(&fresh, set)
+			full, err := Run(context.Background(), set, fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			ropts := fresh
+			ropts.CheckpointDir = dir
+			ropts.Resume = true
+			var logs []string
+			ropts.Log = func(f string, a ...any) { logs = append(logs, fmt.Sprintf(f, a...)) }
+			res, err := Run(context.Background(), set, ropts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !containsLog(logs, "cold start") {
+				t.Errorf("mismatch did not log a cold-start diagnostic:\n%s", strings.Join(logs, "\n"))
+			}
+			sameTrajectory(t, tc.name, res, full)
+		})
+	}
+}
+
+// TestResumeImplausibleDrawCountColdStarts: resume replays a
+// checkpoint's RNG draws one at a time, so a checksum-valid file whose
+// draw count is far beyond what its generations could have drawn must
+// cold-start instead of stalling in the replay.
+func TestResumeImplausibleDrawCountColdStarts(t *testing.T) {
+	opts := ckptOpts()
+	opts.ConvergenceEps = 1e-9 // Run's default, spelled out because the key below hashes it
+	full := mustRun(t, opts)
+
 	dir := t.TempDir()
-	wopts := ckptOpts()
+	wopts := opts
 	wopts.MaxGenerations = 5
 	wopts.CheckpointDir = dir
-	if _, err := Run(context.Background(), measuredSet(t, hiddenMapping()), wopts); err != nil {
+	set := measuredSet(t, hiddenMapping())
+	if _, err := Run(context.Background(), set, wopts); err != nil {
+		t.Fatal(err)
+	}
+	key := checkpointKey(expSetFingerprint(set), opts, planIslands(opts))
+	st, err := loadCheckpoint(dir, key, set.NumInsts, opts.NumPorts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.islands[0].draws = 1 << 62
+	if err := cachestore.SaveBlob(CheckpointPath(dir), cachestore.SchemaEvoCheckpoint, key,
+		encodeCheckpoint(st, set.NumInsts, opts.NumPorts)); err != nil {
 		t.Fatal(err)
 	}
 
-	fresh := ckptOpts()
-	fresh.Seed = 12
-	full := mustRun(t, fresh)
-
-	ropts := fresh
+	ropts := opts
 	ropts.CheckpointDir = dir
 	ropts.Resume = true
 	var logs []string
 	ropts.Log = func(f string, a ...any) { logs = append(logs, fmt.Sprintf(f, a...)) }
-	res, err := Run(context.Background(), measuredSet(t, hiddenMapping()), ropts)
+	res, err := Run(context.Background(), set, ropts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !containsLog(logs, "cold start") {
-		t.Errorf("seed mismatch did not log a cold-start diagnostic:\n%s", strings.Join(logs, "\n"))
+		t.Errorf("implausible draw count did not log a cold-start diagnostic:\n%s", strings.Join(logs, "\n"))
 	}
-	sameTrajectory(t, "seed mismatch", res, full)
+	sameTrajectory(t, "implausible draw count", res, full)
 }
 
 // TestCheckpointCrashBeforeRenameKeepsLastGood injects a crash in the
@@ -459,6 +521,7 @@ func TestDecodeCheckpointRejectsInconsistentCounters(t *testing.T) {
 		{"epoch start beyond gens", func(isl *ckptIsland) { isl.epochStart = 3 }},
 		{"negative epoch start", func(isl *ckptIsland) { isl.epochStart = -1 }},
 		{"generations before initialisation", func(isl *ckptIsland) { isl.inited = false }},
+		{"draw count beyond the replay bound", func(isl *ckptIsland) { isl.draws = 1 << 62 }},
 		{"non-canonical decomposition", func(isl *ckptIsland) {
 			m := isl.pop[0].m.Clone()
 			m.Decomp[0] = []portmap.UopCount{{Ports: portmap.MakePortSet(0), Count: 1}, {Ports: portmap.MakePortSet(0), Count: 1}}
@@ -558,5 +621,45 @@ func TestDecodeCheckpointSeedCorpus(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestExpSetFingerprintSensitivity: the checkpoint key's experiment-set
+// part must change when any component of the set changes — instruction
+// count, individual throughputs, terms, or the exact bits of a measured
+// throughput.
+func TestExpSetFingerprintSensitivity(t *testing.T) {
+	base := &exp.Set{
+		NumInsts:   2,
+		Individual: []float64{1, 2},
+		Measurements: []exp.Measurement{
+			{Exp: portmap.Experiment{{Inst: 0, Count: 1}}, Throughput: 1},
+			{Exp: portmap.Experiment{{Inst: 1, Count: 2}}, Throughput: 2},
+		},
+	}
+	fp := expSetFingerprint(base)
+	mutations := []func(*exp.Set){
+		func(s *exp.Set) { s.NumInsts = 3 },
+		func(s *exp.Set) { s.Individual[1] = 2.5 },
+		func(s *exp.Set) { s.Measurements[0].Throughput = 1.0000000001 },
+		func(s *exp.Set) { s.Measurements[1].Exp[0].Count = 3 },
+		func(s *exp.Set) { s.Measurements[1].Exp[0].Inst = 0 },
+		func(s *exp.Set) { s.Measurements = s.Measurements[:1] },
+	}
+	for i, mutate := range mutations {
+		clone := &exp.Set{
+			NumInsts:   base.NumInsts,
+			Individual: append([]float64(nil), base.Individual...),
+		}
+		for _, m := range base.Measurements {
+			clone.Measurements = append(clone.Measurements, exp.Measurement{
+				Exp:        append(portmap.Experiment(nil), m.Exp...),
+				Throughput: m.Throughput,
+			})
+		}
+		mutate(clone)
+		if expSetFingerprint(clone) == fp {
+			t.Errorf("mutation %d did not change the set fingerprint", i)
+		}
 	}
 }

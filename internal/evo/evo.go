@@ -43,11 +43,10 @@
 // generation. Several islands each draw from their own stream, split
 // deterministically from the master stream, and evaluate serially
 // through a private engine.BatchEvaluator. All islands share one
-// engine.Service — and with it the cross-generation fitness cache.
-// Because islands only interact at epoch barriers (migration is applied
-// serially, collect-then-apply) and the shared cache is a bit-exact memo
-// of a pure function, a fixed Seed and a fixed Islands produce
-// bit-identical results regardless of Workers or goroutine scheduling.
+// engine.Service. Because islands only interact at epoch barriers
+// (migration is applied serially, collect-then-apply) and share no
+// cache, a fixed Seed and a fixed Islands produce bit-identical results
+// and evaluation counts regardless of Workers or goroutine scheduling.
 package evo
 
 import (
@@ -58,7 +57,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"pmevo/internal/cachetable"
 	"pmevo/internal/engine"
 	"pmevo/internal/exp"
 	"pmevo/internal/portmap"
@@ -129,10 +127,10 @@ type Options struct {
 	// paper's single population: it draws from Seed's stream itself.
 	// Several islands each draw from their own stream split
 	// deterministically from Seed. Determinism contract: a fixed Seed
-	// and a fixed Islands give bit-identical results regardless of
-	// Workers or goroutine scheduling (pinned by test). Clamped so every
-	// island holds at least 2 individuals (Islands <= 0 -> 1,
-	// Islands > PopulationSize/2 -> PopulationSize/2).
+	// and a fixed Islands give bit-identical results, FitnessEvaluations
+	// included, regardless of Workers or goroutine scheduling (pinned by
+	// test). Clamped so every island holds at least 2 individuals
+	// (Islands <= 0 -> 1, Islands > PopulationSize/2 -> PopulationSize/2).
 	Islands int
 	// MigrationInterval is the epoch length: the number of generations
 	// each island evolves between ring migrations (0: default 5;
@@ -151,27 +149,16 @@ type Options struct {
 	Engine engine.Predictor
 	// Seed makes runs reproducible.
 	Seed int64
-	// DisableCache turns off the redundancy-exploiting evaluation layer:
-	// the cross-generation fitness cache (FitnessCacheEntries is forced
-	// off), the per-generation duplicate-candidate skip, and the
-	// incremental (delta) scoring of local-search probes — each probe is
-	// scored by a full evaluation instead. Fitness predictions take the
-	// same engine path either way. Results are bit-identical either way
-	// (pinned by test); the knob exists for benchmarking and debugging.
+	// DisableCache turns off the two ways evaluation skips redundant
+	// work: the per-generation duplicate-candidate skip (a child equal
+	// to a current parent or an earlier sibling copies its fitness) and
+	// the incremental (delta) scoring of local-search probes — each probe
+	// is scored by a full evaluation instead. Fitness predictions take
+	// the same engine path either way. Results are bit-identical either
+	// way (pinned by test); only FitnessEvaluations grows. It is the
+	// reference side of the on/off twin tests and of pmevo-bench's
+	// fitness experiment.
 	DisableCache bool
-	// FitnessCacheEntries bounds the engine's cross-generation fitness
-	// cache (whole-mapping fingerprint -> Davg, slots rounded up to a
-	// power of two): recurring candidates across generations — and
-	// across islands — skip evaluation entirely, where the
-	// per-generation duplicate skip only primes from the surviving
-	// population. 0 selects the default (2^16 slots); negative disables
-	// the cache. Hits return the exact floats a fresh evaluation would
-	// produce, so Best/History are bit-identical either way (pinned by
-	// test); only Result.FitnessEvaluations shrinks with the work
-	// skipped (and, with Islands > 1, may vary slightly across
-	// schedules as islands race to insert the same key — values never
-	// do). Forced off by DisableCache.
-	FitnessCacheEntries int
 	// ConvergenceEps terminates evolution when the spread of Davg in the
 	// selected population falls below it and all volumes agree.
 	ConvergenceEps float64
@@ -183,9 +170,9 @@ type Options struct {
 	// CheckpointDir enables crash-safe checkpointing: every
 	// CheckpointInterval generations (and at every migration barrier, on
 	// interruption, and on completion of the generational phase) the
-	// run atomically spills populations, RNG stream positions,
-	// generation counters, and the engine's fitness caches to this
-	// directory. Empty disables checkpointing.
+	// run atomically writes one checkpoint file (populations, RNG stream
+	// positions, generation counters and histories) to this directory.
+	// Empty disables checkpointing.
 	CheckpointDir string
 	// CheckpointInterval is the periodic checkpoint cadence in
 	// generations (0: default 10; negative: periodic checkpoints off —
@@ -255,8 +242,8 @@ type Result struct {
 	// History records per-generation statistics.
 	History []GenStats
 	// CacheStats snapshots the engine's evaluation counters (kernel
-	// calls, delta evaluations, experiments skipped, fitness-cache
-	// traffic) at the end of the run.
+	// calls, delta evaluations, experiments skipped) at the end of the
+	// run.
 	CacheStats engine.CacheStats
 }
 
@@ -318,14 +305,11 @@ func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 	}
 
 	plan := planIslands(opts)
-	setFP := engine.ExpSetFingerprint(set)
-	ckptKey := checkpointKey(setFP, opts, plan)
+	ckptKey := checkpointKey(expSetFingerprint(set), opts, plan)
 
-	// Resume restores the checkpoint (and the fitness-cache spill next to
-	// it) before the Service exists, so warm entries ride in through the
-	// service options. Every failure path cold-starts with a diagnostic.
+	// Resume restores the checkpoint; every failure path cold-starts with
+	// a diagnostic.
 	var restored *ckptState
-	fitWarm := []cachetable.Entry(nil)
 	if opts.Resume && opts.CheckpointDir != "" {
 		st, err := loadCheckpoint(opts.CheckpointDir, ckptKey, set.NumInsts, opts.NumPorts)
 		if err != nil {
@@ -337,25 +321,11 @@ func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 			logf("evo: resume: restored checkpoint at generation %d from %s",
 				maxGens(st), CheckpointPath(opts.CheckpointDir))
 		}
-		if !opts.DisableCache {
-			if entries, err := engine.LoadFitCache(engine.FitCachePath(opts.CheckpointDir), set); err == nil {
-				fitWarm = entries
-			}
-		}
 	}
 
-	fitEntries := opts.FitnessCacheEntries
-	if fitEntries == 0 {
-		fitEntries = defaultFitCacheEntries
-	}
-	if fitEntries < 0 || opts.DisableCache {
-		fitEntries = 0
-	}
 	svc, err := engine.NewService(set, engine.ServiceOptions{
-		Workers:         opts.Workers,
-		Predictor:       opts.Engine,
-		FitCacheEntries: fitEntries,
-		FitCacheWarm:    fitWarm,
+		Workers:   opts.Workers,
+		Predictor: opts.Engine,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("evo: %w", err)
@@ -367,8 +337,6 @@ func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 			dir:      opts.CheckpointDir,
 			interval: planCheckpointInterval(opts),
 			key:      ckptKey,
-			set:      set,
-			svc:      svc,
 			numInsts: set.NumInsts,
 			numPorts: opts.NumPorts,
 			logf:     logf,
@@ -433,13 +401,9 @@ func validateCheckpointGeometry(st *ckptState, plan islandPlan) error {
 	return nil
 }
 
-// defaultFitCacheEntries sizes the cross-generation fitness cache when
-// Options.FitnessCacheEntries is 0; defaultMigrationInterval is the
-// epoch length when Options.MigrationInterval is 0.
-const (
-	defaultFitCacheEntries   = 1 << 16
-	defaultMigrationInterval = 5
-)
+// defaultMigrationInterval is the epoch length when
+// Options.MigrationInterval is 0.
+const defaultMigrationInterval = 5
 
 // islandPlan is the clamped island-model geometry of a run (the
 // satellite contract: nonsensical Options values are normalized here,
@@ -498,9 +462,9 @@ func planIslands(opts Options) islandPlan {
 
 // island is one sub-population of a run (the whole population when the
 // run has one island). Between epoch barriers an island touches no
-// state outside itself except the shared engine.Service's bit-exact
-// pure-function caches (through its evaluator), which is what makes the
-// run scheduling-independent.
+// state outside itself except the shared engine.Service's read-only
+// experiment data and atomic counters (through its evaluator), which is
+// what makes the run scheduling-independent.
 type island struct {
 	idx        int
 	rng        *rand.Rand
@@ -533,12 +497,12 @@ func (isl *island) alive(maxGens int) bool {
 // isl.gens/isl.draws always describe a fully evaluated, sorted
 // population, so an interrupted island checkpoints and resumes exactly
 // like one that hit its barrier.
-func (isl *island) evolve(ctx context.Context, set *exp.Set, svc *engine.Service, opts Options, dedupe bool) {
+func (isl *island) evolve(ctx context.Context, set *exp.Set, opts Options, dedupe bool) {
 	if isl.err != nil {
 		return
 	}
 	if !isl.inited {
-		if err := evaluate(ctx, svc, isl.be, isl.pop, isl.seen, dedupe); err != nil {
+		if err := evaluate(ctx, isl.be, isl.pop, isl.seen, dedupe); err != nil {
 			isl.err = err
 			return
 		}
@@ -574,7 +538,7 @@ func (isl *island) evolve(ctx context.Context, set *exp.Set, svc *engine.Service
 				isl.seen[isl.pop[i].m.FingerprintAll()] = engine.Fitness{Davg: isl.pop[i].davg, Volume: isl.pop[i].volume}
 			}
 		}
-		if err := evaluate(ctx, svc, isl.be, children, isl.seen, dedupe); err != nil {
+		if err := evaluate(ctx, isl.be, children, isl.seen, dedupe); err != nil {
 			// Interrupted mid-batch: the aborted generation's children
 			// are discarded and the island state stays at the last
 			// boundary (gens/draws untouched). Real errors propagate.
@@ -760,7 +724,7 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 		}
 		restoredEpoch = false
 		engine.ForEachWorker(len(isls), opts.Workers, func(_, k int) {
-			isls[k].evolve(ctx, set, svc, opts, dedupe)
+			isls[k].evolve(ctx, set, opts, dedupe)
 		})
 		interrupted := runctrl.Check(ctx)
 		for _, isl := range isls {
@@ -892,16 +856,13 @@ type batchEvaluator interface {
 // batch evaluator. With dedupe enabled, structurally equal candidates —
 // detected by whole-mapping fingerprint, within the batch and against
 // the caller-primed seen map — are evaluated once and the fitness
-// copied (bit-identical: equal mappings have equal fitness), and
-// candidates remembered by the service's cross-generation fitness cache
-// skip evaluation entirely (bit-identical: the cache stores the exact
-// Davg a fresh evaluation would produce). Newly computed fitnesses are
-// added to seen and to the cross-generation cache.
+// copied (bit-identical: equal mappings have equal fitness). Newly
+// computed fitnesses are added to seen.
 //
 // An interrupted EvaluateAll leaves the batch partially filled; the
 // error propagates and no individual is updated, so the caller's
 // population stays consistent (the aborted batch is simply discarded).
-func evaluate(ctx context.Context, svc *engine.Service, be batchEvaluator, inds []individual, seen map[uint64]engine.Fitness, dedupe bool) error {
+func evaluate(ctx context.Context, be batchEvaluator, inds []individual, seen map[uint64]engine.Fitness, dedupe bool) error {
 	if !dedupe {
 		ms := make([]*portmap.Mapping, len(inds))
 		for i := range inds {
@@ -931,10 +892,6 @@ func evaluate(ctx context.Context, svc *engine.Service, be batchEvaluator, inds 
 		if _, ok := batch[fp]; ok {
 			continue
 		}
-		if davg, ok := svc.FitnessCacheGet(fp); ok {
-			seen[fp] = engine.Fitness{Davg: davg, Volume: inds[i].m.Volume()}
-			continue
-		}
 		batch[fp] = struct{}{}
 		uniq = append(uniq, inds[i].m)
 		uniqFPs = append(uniqFPs, fp)
@@ -943,12 +900,8 @@ func evaluate(ctx context.Context, svc *engine.Service, be batchEvaluator, inds 
 	if err := be.EvaluateAll(ctx, uniq, fits); err != nil {
 		return err
 	}
-	// Batch order, not map order: of two new fingerprints that share a
-	// slot of the direct-mapped fitness cache the later one survives, so
-	// later hits, and the evaluation count, repeat run to run.
 	for k, fp := range uniqFPs {
 		seen[fp] = fits[k]
-		svc.FitnessCachePut(fp, fits[k].Davg)
 	}
 	for i := range inds {
 		f := seen[fps[i]]

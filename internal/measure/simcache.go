@@ -37,8 +37,8 @@ import (
 // odds as a decomposition fingerprint. The machine fingerprint in
 // every key also versions disk-loaded entries: a cache file from a
 // different simulator configuration simply never hits. Storage is the
-// bounded XOR-tagged atomic table shared with the engine's fitness cache
-// (internal/cachetable).
+// bounded XOR-tagged atomic table of internal/cachetable, whose only
+// client is this package.
 
 // simCacheEntries bounds the shared cache: 2^16 slots × 16 bytes = 1 MiB,
 // comfortably above the distinct-kernel count of a full Table 1

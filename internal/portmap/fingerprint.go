@@ -7,8 +7,8 @@ import "fmt"
 // decompositions with the same multiset of µops have the same fingerprint;
 // distinct decompositions collide with probability ~2^-64. The engine's
 // per-worker unit-table cache and the evolutionary algorithm's
-// duplicate-candidate skip and fitness cache treat fingerprint equality
-// as decomposition equality.
+// duplicate-candidate skip treat fingerprint equality as decomposition
+// equality.
 //
 // Fingerprints are maintained eagerly by every mutating method of Mapping
 // (SetDecomp, AddUop, SetUopCount, RemoveUopAt, InsertUopAt) and copied by
@@ -33,7 +33,7 @@ func mix64(x uint64) uint64 {
 
 // CombineFingerprints chains fingerprint fp into hash state h: the
 // mixing step shared by FingerprintAll and the content keys built on it
-// (engine.ExpSetFingerprint, the evolution checkpoint key).
+// (the evolution checkpoint key and its experiment-set fingerprint).
 func CombineFingerprints(h, fp uint64) uint64 {
 	return mix64(h ^ fp)
 }

@@ -89,8 +89,8 @@ type Result = core.Result
 type EvoOptions = evo.Options
 
 // CacheStats reports the fitness engine's evaluation counters after a
-// run: evaluations, fast-path kernel calls, delta evaluations and the
-// cross-generation fitness cache (see Result.Evo.CacheStats).
+// run: evaluations, fast-path kernel calls and delta evaluations (see
+// Result.Evo.CacheStats).
 type CacheStats = engine.CacheStats
 
 // VirtualProcessor is one of the simulated evaluation machines
