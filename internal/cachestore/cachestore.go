@@ -1,11 +1,10 @@
 // Package cachestore persists cachetable.Table contents between
 // processes: a versioned, checksummed, bounded, atomically-written
 // on-disk spill format. It is the warm-start layer under the
-// measurement harness's kernel-simulation cache and period hints —
-// repeated inference on the same ISA reloads pure, expensively derived
-// values (noiseless steady-state cycles, period hints) instead of
-// re-deriving them — and the container for evolution checkpoints
-// (opaque blobs under the same framing).
+// measurement harness's kernel-simulation cache — repeated inference on
+// the same ISA reloads pure, expensively derived values (noiseless
+// steady-state cycles) instead of re-deriving them — and the container
+// for evolution checkpoints (opaque blobs under the same framing).
 //
 // The store is safe by construction:
 //
@@ -50,14 +49,14 @@ import (
 )
 
 // Schema tags identify the consumer that wrote a file; a file is only
-// ever loaded by the schema that wrote it. Tags 2 and 5 are retired and
-// stay reserved: they marked the engine's per-experiment throughput
-// memo (fitness-memo.pmc) and its cross-generation fitness cache
-// (fitness-cache.pmc). No later schema may reuse them, so such a file
-// never decodes as another schema.
+// ever loaded by the schema that wrote it. Tags 2, 3 and 5 are retired
+// and stay reserved: they marked the engine's per-experiment throughput
+// memo (fitness-memo.pmc), the measurement harness's per-body period
+// hints (period-hints.pmc) and the engine's cross-generation fitness
+// cache (fitness-cache.pmc). No later schema may reuse them, so such a
+// file never decodes as another schema.
 const (
 	SchemaSimCache      uint32 = 1 // measure: kernel-simulation cache
-	SchemaPeriodHints   uint32 = 3 // measure: per-body steady-state period hints
 	SchemaEvoCheckpoint uint32 = 4 // evo: checkpoint blob (populations, RNG, counters)
 )
 

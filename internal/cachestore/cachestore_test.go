@@ -185,7 +185,6 @@ var allSchemas = []struct {
 	schema uint32
 }{
 	{"SchemaSimCache", SchemaSimCache},
-	{"SchemaPeriodHints", SchemaPeriodHints},
 	{"SchemaEvoCheckpoint", SchemaEvoCheckpoint},
 }
 
@@ -233,20 +232,20 @@ func TestDamageMatrixCoversEverySchema(t *testing.T) {
 // TestLoadRejectsMismatchedIdentity: a structurally valid file written
 // by another consumer or against other inputs must read as empty — and
 // so must a spill under a retired tag (2: the engine's old throughput
-// memo, 5: its old cross-generation fitness cache), under every live
-// schema.
+// memo, 3: the harness's old period hints, 5: the engine's old
+// cross-generation fitness cache), under every live schema.
 func TestLoadRejectsMismatchedIdentity(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.pmc")
 	if err := Save(path, SchemaSimCache, 0xabc, sampleEntries(4)); err != nil {
 		t.Fatal(err)
 	}
-	if entries, err := Load(path, SchemaPeriodHints, 0xabc); len(entries) != 0 || !errors.Is(err, ErrSchema) {
+	if entries, err := Load(path, SchemaEvoCheckpoint, 0xabc); len(entries) != 0 || !errors.Is(err, ErrSchema) {
 		t.Fatalf("wrong schema: %d entries, err %v", len(entries), err)
 	}
 	if entries, err := Load(path, SchemaSimCache, 0xdef); len(entries) != 0 || !errors.Is(err, ErrContentKey) {
 		t.Fatalf("wrong content key: %d entries, err %v", len(entries), err)
 	}
-	for _, retired := range []uint32{2, 5} {
+	for _, retired := range []uint32{2, 3, 5} {
 		if err := Save(path, retired, 0xabc, sampleEntries(4)); err != nil {
 			t.Fatal(err)
 		}

@@ -16,8 +16,8 @@ const fuzzContentKey = 0x51
 // a successful Load returns only non-zero keys. Each image is also tried
 // with its trailing checksum repaired, so mutations reach the count and
 // payload checks behind it. The seed corpus (testdata/fuzz/FuzzLoad)
-// holds real Save outputs for every live schema and for the retired tag
-// 5, a SaveBlob output and an empty spill.
+// holds real Save outputs for every live schema and for the retired
+// tags 3 and 5, a SaveBlob output and an empty spill.
 func FuzzLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "cache.pmc")

@@ -1,6 +1,6 @@
 // Package cachetable provides the bounded, lock-free cache table behind
-// the measurement layer's kernel-simulation and period-hint caches: a
-// fixed-size array of independently atomic slots, direct-mapped by key.
+// the measurement layer's kernel-simulation cache: a fixed-size array
+// of independently atomic slots, direct-mapped by key.
 //
 // Each slot packs (key, value) into two atomic words with the
 // transposition-table XOR trick: the tag word stores key ^ value, so a

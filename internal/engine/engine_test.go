@@ -225,13 +225,15 @@ func TestServiceValidation(t *testing.T) {
 	if _, err := NewService(&exp.Set{NumInsts: 2}, ServiceOptions{}); err == nil {
 		t.Error("set without measurements accepted")
 	}
-	bad := &exp.Set{
-		NumInsts:     1,
-		Individual:   []float64{1},
-		Measurements: []exp.Measurement{{Exp: portmap.Experiment{{Inst: 0, Count: 1}}, Throughput: -1}},
-	}
-	if _, err := NewService(bad, ServiceOptions{}); err == nil {
-		t.Error("non-positive throughput accepted")
+	for _, tp := range []float64{-1, math.NaN(), math.Inf(1)} {
+		bad := &exp.Set{
+			NumInsts:     1,
+			Individual:   []float64{1},
+			Measurements: []exp.Measurement{{Exp: portmap.Experiment{{Inst: 0, Count: 1}}, Throughput: tp}},
+		}
+		if _, err := NewService(bad, ServiceOptions{}); err == nil {
+			t.Errorf("throughput %g accepted", tp)
+		}
 	}
 	oob := &exp.Set{
 		NumInsts:     1,

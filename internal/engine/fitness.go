@@ -200,8 +200,8 @@ func NewService(set *exp.Set, opts ServiceOptions) (*Service, error) {
 		workerSc: make([]evalScratch, workers),
 	}
 	for i, m := range set.Measurements {
-		if m.Throughput <= 0 {
-			return nil, fmt.Errorf("engine: measurement %d has non-positive throughput %g", i, m.Throughput)
+		if !exp.ValidThroughput(m.Throughput) {
+			return nil, fmt.Errorf("engine: measurement %d has throughput %g, want finite and positive", i, m.Throughput)
 		}
 		for _, t := range m.Exp {
 			if t.Inst < 0 || t.Inst >= set.NumInsts {

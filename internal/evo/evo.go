@@ -282,8 +282,8 @@ func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("evo: invalid port count %d", opts.NumPorts)
 	}
 	for _, m := range set.Measurements {
-		if m.Throughput <= 0 {
-			return nil, fmt.Errorf("evo: non-positive measured throughput %g", m.Throughput)
+		if !exp.ValidThroughput(m.Throughput) {
+			return nil, fmt.Errorf("evo: measured throughput %g is not finite and positive", m.Throughput)
 		}
 	}
 	if opts.ConvergenceEps <= 0 {

@@ -117,15 +117,17 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(context.Background(), &exp.Set{NumInsts: 2}, smallOpts()); err == nil {
 		t.Error("set without measurements accepted")
 	}
-	bad := &exp.Set{
-		NumInsts:   1,
-		Individual: []float64{1},
-		Measurements: []exp.Measurement{
-			{Exp: portmap.Experiment{{Inst: 0, Count: 1}}, Throughput: -1},
-		},
-	}
-	if _, err := Run(context.Background(), bad, smallOpts()); err == nil {
-		t.Error("negative measured throughput accepted")
+	for _, tp := range []float64{-1, math.NaN(), math.Inf(1)} {
+		bad := &exp.Set{
+			NumInsts:   1,
+			Individual: []float64{1},
+			Measurements: []exp.Measurement{
+				{Exp: portmap.Experiment{{Inst: 0, Count: 1}}, Throughput: tp},
+			},
+		}
+		if _, err := Run(context.Background(), bad, smallOpts()); err == nil {
+			t.Errorf("measured throughput %g accepted", tp)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"pmevo/internal/portmap"
 	"pmevo/internal/runctrl"
@@ -97,8 +98,27 @@ func Singletons(numInsts int) []portmap.Experiment {
 	return out
 }
 
+// ValidThroughput reports whether tp can be a measured throughput:
+// finite and positive. A plain tp <= 0 check is not enough, because NaN
+// fails every comparison.
+func ValidThroughput(tp float64) bool { return tp > 0 && !math.IsInf(tp, 1) }
+
+// checkReadings rejects the first reading of a measured batch that is
+// not a valid throughput, naming its experiment.
+func checkReadings(phase string, es []portmap.Experiment, tps []float64) error {
+	for i, tp := range tps {
+		if !ValidThroughput(tp) {
+			return fmt.Errorf("exp: %s {%s}: throughput %g is not finite and positive", phase, es[i].Key(), tp)
+		}
+	}
+	return nil
+}
+
 // PairExperiments returns the §4.1 pair and weighted-pair experiments
-// for the given individual throughputs, deduplicated by multiset.
+// for the given individual throughputs, deduplicated by multiset. The
+// throughputs must be valid (ValidThroughput), and the ratio of the
+// largest to the smallest must round up to a count that fits an int;
+// GenerateAndMeasure checks both.
 func PairExperiments(individual []float64) []portmap.Experiment {
 	n := len(individual)
 	var out []portmap.Experiment
@@ -151,12 +171,18 @@ func GenerateAndMeasure(ctx context.Context, m Measurer, numInsts int) (*Set, er
 		}
 		return nil, fmt.Errorf("exp: singletons: %w", err)
 	}
+	if err := checkReadings("singleton", singles, tps); err != nil {
+		return nil, err
+	}
 	for i, e := range singles {
-		if tps[i] <= 0 {
-			return nil, fmt.Errorf("exp: singleton %d: non-positive throughput %g", i, tps[i])
-		}
 		set.Individual[i] = tps[i]
 		set.Measurements = append(set.Measurements, Measurement{Exp: e, Throughput: tps[i]})
+	}
+	// The slowest and fastest singletons make the weighted pair with the
+	// largest count, ⌈max/min⌉.
+	lo, hi := slices.Min(set.Individual), slices.Max(set.Individual)
+	if !(math.Ceil(hi/lo) < float64(math.MaxInt)) {
+		return nil, fmt.Errorf("exp: weighted-pair count ⌈%g/%g⌉ does not fit an int", hi, lo)
 	}
 	pairs := PairExperiments(set.Individual)
 	tps, err = measureAll(ctx, m, pairs)
@@ -165,6 +191,9 @@ func GenerateAndMeasure(ctx context.Context, m Measurer, numInsts int) (*Set, er
 			return nil, err
 		}
 		return nil, fmt.Errorf("exp: pairs: %w", err)
+	}
+	if err := checkReadings("pair", pairs, tps); err != nil {
+		return nil, err
 	}
 	for i, e := range pairs {
 		set.Measurements = append(set.Measurements, Measurement{Exp: e, Throughput: tps[i]})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pmevo/internal/portmap"
@@ -33,6 +34,20 @@ func (fm *failingMeasurer) Measure(e portmap.Experiment) (float64, error) {
 	}
 	fm.left--
 	return 1, nil
+}
+
+// readingMeasurer returns single[i] for the singleton {i→1} and pair
+// for every other experiment.
+type readingMeasurer struct {
+	single []float64
+	pair   float64
+}
+
+func (rm readingMeasurer) Measure(e portmap.Experiment) (float64, error) {
+	if len(e) == 1 && e[0].Count == 1 {
+		return rm.single[e[0].Inst], nil
+	}
+	return rm.pair, nil
 }
 
 func testMapping() *portmap.Mapping {
@@ -140,6 +155,29 @@ func TestGenerateAndMeasureErrors(t *testing.T) {
 	}
 	if _, err := GenerateAndMeasure(context.Background(), &failingMeasurer{left: 4}, 3); err == nil {
 		t.Error("failure in pair phase not propagated")
+	}
+	// Invalid readings are rejected, naming the experiment (want); a
+	// singleton so fast that ⌈1/1e-300⌉ overflows an int must not turn
+	// into a weighted pair with a wrapped count.
+	bad := []struct {
+		name string
+		m    readingMeasurer
+		want string
+	}{
+		{"NaN singleton", readingMeasurer{single: []float64{math.NaN(), 1, 1}, pair: 1}, "{0:1}"},
+		{"+Inf pair", readingMeasurer{single: []float64{1, 1, 1}, pair: math.Inf(1)}, "{0:1,1:1}"},
+		{"zero pair", readingMeasurer{single: []float64{1, 1, 1}, pair: 0}, "{0:1,1:1}"},
+		{"1e-300 singleton", readingMeasurer{single: []float64{1, 1e-300}, pair: 1}, "does not fit an int"},
+	}
+	for _, c := range bad {
+		set, err := GenerateAndMeasure(context.Background(), c.m, len(c.m.single))
+		if err == nil {
+			t.Errorf("%s: accepted, Individual %v, %d measurements", c.name, set.Individual, set.NumExperiments())
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 
 // diffKernel checks one body on the fast machine against the brute-force
 // twin on every Result field: Run at both iteration targets, and
-// SteadyStateCyclesHinted unhinted and with the detected period as hint.
-// It reports whether the unhinted warmup+measure run detected a period.
+// SteadyStateResult. It reports whether the warmup+measure run detected
+// a period.
 func diffKernel(t *testing.T, ctx string, fast, brute *machine.Machine, body []machine.Inst, warmup, measure int) bool {
 	t.Helper()
 	var want [2]machine.Result
@@ -39,21 +39,14 @@ func diffKernel(t *testing.T, ctx string, fast, brute *machine.Machine, body []m
 		want[i] = w
 	}
 	wantCy := float64(want[1].Cycles-want[0].Cycles) / float64(measure)
-	steady := func(hint int) machine.Result {
-		got, res, err := fast.SteadyStateCyclesHinted(body, warmup, measure, hint)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != wantCy {
-			t.Fatalf("%s: hint %d: SteadyStateCycles %v != brute %v", ctx, hint, got, wantCy)
-		}
-		sameResult(t, fmt.Sprintf("%s: hint %d", ctx, hint), res, want[1])
-		return res
+	got, res, err := fast.SteadyStateResult(body, warmup, measure)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res := steady(0)
-	if res.DetectedPeriodIters > 1 {
-		steady(res.DetectedPeriodIters)
+	if got != wantCy {
+		t.Fatalf("%s: SteadyStateCycles %v != brute %v", ctx, got, wantCy)
 	}
+	sameResult(t, ctx+": SteadyStateResult", res, want[1])
 	return res.DetectedPeriod > 0
 }
 

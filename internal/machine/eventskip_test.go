@@ -290,56 +290,3 @@ func TestEventSkipMatchesBruteForceUarch(t *testing.T) {
 		}
 	}
 }
-
-// TestPeriodHintMatchesBruteForce pins the hint contract of
-// SteadyStateCyclesHinted: correct, wrong, and absurd hints are all
-// bit-identical to the unhinted and brute-force results — hints gate
-// which iterations detection hashes, never what the simulation computes
-// — and a correct hint still detects a period.
-func TestPeriodHintMatchesBruteForce(t *testing.T) {
-	proc := uarch.SKL()
-	h, err := measure.NewHarness(proc, measure.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, brute := twin(t, proc.Config, proc.Specs)
-	rng := rand.New(rand.NewSource(5))
-	n := proc.ISA.NumForms()
-	for i := 0; i < 8; i++ {
-		e := portmap.Experiment{{Inst: rng.Intn(n), Count: 1 + rng.Intn(2)}}
-		body, _, err := h.BuildLoop(e.Normalize())
-		if err != nil {
-			t.Fatal(err)
-		}
-		warmup, iters := 30, 120
-		want, err := brute.SteadyStateCycles(body, warmup, iters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Discover the true period (in iterations) with an unhinted run.
-		unhinted, res0, err := det.SteadyStateCyclesHinted(body, warmup, iters, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if unhinted != want {
-			t.Fatalf("unhinted %v != brute %v", unhinted, want)
-		}
-		truePeriod := res0.DetectedPeriodIters
-		hints := []int{truePeriod, truePeriod + 1, 3, 1 << 19}
-		for _, hint := range hints {
-			if hint <= 1 {
-				continue
-			}
-			got, res, err := det.SteadyStateCyclesHinted(body, warmup, iters, hint)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("hint %d: SteadyStateCycles %v != brute %v", hint, got, want)
-			}
-			if hint == truePeriod && truePeriod > 1 && res.DetectedPeriodIters == 0 {
-				t.Errorf("correct hint %d suppressed detection entirely", hint)
-			}
-		}
-	}
-}

@@ -51,31 +51,19 @@ func fuzzMachine(data []byte) (machine.Config, []machine.InstSpec, []machine.Ins
 }
 
 // FuzzPeriodDetection checks the fast machine against the brute-force
-// twin on a fuzzed machine, body, iteration targets and period hint:
-// Run at both targets and SteadyStateCyclesHinted must agree on every
-// Result field. The seed corpus in testdata/fuzz holds a recurrence
-// whose port loads diverge inside a shared port group (diverging-loads)
-// and inputs that break when the skipped periods' load growth is added
-// only to the reported counts (tail-offset) or when choices go
-// unrecorded (choice-recording).
+// twin on a fuzzed machine, body and iteration targets: Run at both
+// targets and SteadyStateResult must agree on every Result field. The
+// seed corpus in testdata/fuzz holds a recurrence whose port loads
+// diverge inside a shared port group (diverging-loads) and inputs that
+// break when the skipped periods' load growth is added only to the
+// reported counts (tail-offset) or when choices go unrecorded
+// (choice-recording).
 func FuzzPeriodDetection(f *testing.F) {
-	f.Add([]byte{}, uint8(30), uint8(119), uint8(0))
-	f.Fuzz(func(t *testing.T, data []byte, warmup, measure, hint uint8) {
+	f.Add([]byte{}, uint8(30), uint8(119))
+	f.Fuzz(func(t *testing.T, data []byte, warmup, measure uint8) {
 		cfg, specs, body := fuzzMachine(data)
 		fast, brute := twin(t, cfg, specs)
 		ctx := fmt.Sprintf("%+v specs %+v body %+v", cfg, specs, body)
 		diffKernel(t, ctx, fast, brute, body, int(warmup), 1+int(measure))
-		got, res, err := fast.SteadyStateCyclesHinted(body, int(warmup), 1+int(measure), int(hint))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wres, err := brute.SteadyStateCyclesHinted(body, int(warmup), 1+int(measure), int(hint))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("%s: hint %d: SteadyStateCycles %v != brute %v", ctx, hint, got, want)
-		}
-		sameResult(t, fmt.Sprintf("%s: hint %d", ctx, hint), res, wres)
 	})
 }

@@ -182,9 +182,7 @@ type Result struct {
 	// simulated semantics.
 	DetectedPeriod int64
 	// DetectedPeriodIters is the same steady-state period expressed in
-	// body iterations. A later run of the same body can pass it back as
-	// the period hint (SteadyStateCyclesHinted) to skip most detection
-	// hashing. Diagnostic metadata, like DetectedPeriod.
+	// body iterations. Diagnostic metadata, like DetectedPeriod.
 	DetectedPeriodIters int
 	// SkippedCycles counts the dead cycles the event-driven core
 	// fast-forwarded over instead of stepping (0 with
@@ -346,26 +344,17 @@ func (m *Machine) pickPort(eligible portmap.PortSet, load []int64) int {
 // bit-identical to standalone Runs (and hence to brute-force simulation
 // with detection disabled).
 func (m *Machine) SteadyStateCycles(body []Inst, warmup, measure int) (float64, error) {
-	v, _, err := m.SteadyStateCyclesHinted(body, warmup, measure, 0)
+	v, _, err := m.SteadyStateResult(body, warmup, measure)
 	return v, err
 }
 
-// SteadyStateCyclesHinted is SteadyStateCycles with a period hint and
-// run diagnostics: periodHint, when positive, is a steady-state period
-// in body iterations from an earlier run of the same body (typically
-// Result.DetectedPeriodIters), and restricts period-detection hashing
-// to iterations congruent modulo the hint — the second run of a known
-// body pays ~1/hint of the detection cost. A wrong or stale hint only
-// delays detection (recurrences are still found at hint-aligned
-// iterations, or the run falls back to plain simulation); the returned
-// cycles are bit-identical to an unhinted run either way. The returned
-// Result is the diagnostics of the warmup+measure run (its
-// DetectedPeriodIters feeds the next hint).
-func (m *Machine) SteadyStateCyclesHinted(body []Inst, warmup, measure, periodHint int) (float64, Result, error) {
+// SteadyStateResult is SteadyStateCycles plus run diagnostics: the
+// returned Result is that of the warmup+measure run.
+func (m *Machine) SteadyStateResult(body []Inst, warmup, measure int) (float64, Result, error) {
 	if measure <= 0 {
 		return 0, Result{}, errors.New("machine: measure iterations must be positive")
 	}
-	c1, r2, err := m.runPair(body, warmup, warmup+measure, periodHint)
+	c1, r2, err := m.runPair(body, warmup, warmup+measure)
 	if err != nil {
 		return 0, Result{}, err
 	}

@@ -98,16 +98,6 @@ type sim struct {
 	detecting    bool
 	budget       int64
 
-	// hintIters, when > 1, restricts detection snapshots to iterations
-	// congruent to 0 modulo the hint: a caller that already knows the
-	// body's steady-state period (in iterations) from an earlier run
-	// pays ~1/hint of the hashing cost. States at iterations i and i+kP
-	// are equal once steady, so sampling any congruence class still
-	// finds a recurrence (possibly a multiple of the true period, which
-	// extrapolates just as exactly); a wrong hint at worst delays
-	// detection and never changes results.
-	hintIters int
-
 	// eventSkip enables the event-driven fast-forward; skipped counts
 	// the dead cycles jumped over (Result.SkippedCycles).
 	eventSkip bool
@@ -474,13 +464,7 @@ func (s *sim) loop() error {
 		}
 		if s.detecting && !s.done() && s.iter > s.lastSnapIter {
 			s.lastSnapIter = s.iter
-			if s.hintIters > 1 && s.iter%s.hintIters != 0 {
-				// Period-hinted run: only hint-aligned iterations are
-				// hashed (see the hintIters field comment). Skipping
-				// the budget check with the snapshot is deliberate —
-				// detection cost, which the budget bounds, is only
-				// paid on hashed iterations.
-			} else if s.cycle >= s.budget {
+			if s.cycle >= s.budget {
 				s.detecting = false
 			} else if rec, ok := s.sc.det.check(s); ok {
 				// The state at this top-of-cycle recurred, and the
@@ -633,13 +617,11 @@ func (s *sim) finish() (int64, error) {
 // each bit-identical to a standalone Run. The shared prefix — including
 // the steady-state transient, the expensive part once period detection
 // truncates the rest — is simulated once; the n1 result is completed
-// from a forked state copy. hint is a period-detection sampling hint in
-// body iterations (see SteadyStateCyclesHinted); 0 hashes every
-// iteration. The fork lands on the same cycle it would under brute
-// force: forks are taken inside the dispatch stage (mid-dispatch) or at
-// a recurrence, and the event-driven fast-forward only ever jumps over
-// cycles in which nothing dispatches.
-func (m *Machine) runPair(body []Inst, n1, n2, hint int) (int64, Result, error) {
+// from a forked state copy. The fork lands on the same cycle it would
+// under brute force: forks are taken inside the dispatch stage
+// (mid-dispatch) or at a recurrence, and the event-driven fast-forward
+// only ever jumps over cycles in which nothing dispatches.
+func (m *Machine) runPair(body []Inst, n1, n2 int) (int64, Result, error) {
 	if n1 >= n2 {
 		return 0, Result{}, fmt.Errorf("machine: runPair targets must be ordered, got %d >= %d", n1, n2)
 	}
@@ -662,7 +644,7 @@ func (m *Machine) runPair(body []Inst, n1, n2, hint int) (int64, Result, error) 
 		}
 	}
 	sc := m.getScratch()
-	s := sim{m: m, body: body, iters: n2, sc: sc, forkAt: n1, hintIters: hint}
+	s := sim{m: m, body: body, iters: n2, sc: sc, forkAt: n1}
 	res, err := s.run()
 	if err != nil {
 		if s.fork != nil {

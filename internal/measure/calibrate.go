@@ -63,18 +63,8 @@ func (h *Harness) Calibrate(probeExps []portmap.Experiment, probes int, tol floa
 			vals := make([]float64, probes)
 			for p := range vals {
 				// Vary the warmup slightly so unstable steady states
-				// produce visibly different estimates. The sweep probes
-				// one body under many (warmup, iters) pairs — the exact
-				// shape the per-body period hint deduplicates — so route
-				// through the hinted path: after the first probe, later
-				// probes and doublings skip most detection hashing.
-				warm := h.opts.WarmupIters + p
-				var cyc float64
-				if h.opts.DisableSimCache {
-					cyc, err = h.mach.SteadyStateCycles(body, warm, iters)
-				} else {
-					cyc, err = h.steadyStateHinted(body, warm, iters)
-				}
+				// produce visibly different estimates.
+				cyc, err := h.mach.SteadyStateCycles(body, h.opts.WarmupIters+p, iters)
 				if err != nil {
 					return nil, err
 				}

@@ -86,45 +86,3 @@ func TestCalibrateStopsAtMaxIters(t *testing.T) {
 		t.Errorf("expected cap 32, got %d (spread %g)", res.MeasureIters, res.Spread)
 	}
 }
-
-// TestCalibratePeriodHints pins that the calibration sweep — one body
-// probed under many (warmup, iters) pairs — reuses the period detected
-// by its first probe for all later ones, and that the selected budget is
-// unchanged by the hints (they gate detection cost, not results).
-func TestCalibratePeriodHints(t *testing.T) {
-	FlushSimCache()
-	defer FlushSimCache()
-	proc := uarch.SKL()
-	add, _ := proc.ISA.FormByName("add_r64_r64")
-	mul, _ := proc.ISA.FormByName("imul_r64_r64")
-	probes := []portmap.Experiment{
-		{{Inst: add.ID, Count: 1}},
-		{{Inst: add.ID, Count: 1}, {Inst: mul.ID, Count: 1}},
-	}
-	run := func(disable bool) (*CalibrationResult, CacheStats) {
-		FlushSimCache()
-		opts := DefaultOptions()
-		opts.NoiseSigma = 0
-		opts.DisableSimCache = disable
-		h, err := NewHarness(proc, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := h.Calibrate(probes, 3, 0.01, 8, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, h.CacheStats()
-	}
-	hinted, st := run(false)
-	if st.SimPeriodHints == 0 {
-		t.Error("calibration sweep never reused a period hint")
-	}
-	plain, stOff := run(true)
-	if stOff.SimPeriodHints != 0 {
-		t.Errorf("uncached calibration recorded hint traffic: %+v", stOff)
-	}
-	if hinted.MeasureIters != plain.MeasureIters || hinted.Spread != plain.Spread {
-		t.Errorf("hints changed calibration: %+v vs %+v", hinted, plain)
-	}
-}

@@ -78,12 +78,10 @@ type Harness struct {
 
 	// Kernel-cache counters; atomic because MeasureAll simulates
 	// concurrently. simWarmHits is the subset of simHits served by
-	// entries LoadSimCache seeded from disk; simHintHits counts
-	// simulations that ran with a per-body period hint (simcache.go).
+	// entries LoadSimCache seeded from disk (simcache.go).
 	simHits     atomic.Int64
 	simMisses   atomic.Int64
 	simWarmHits atomic.Int64
-	simHintHits atomic.Int64
 }
 
 // NewHarness builds a harness for the given processor.
@@ -116,11 +114,31 @@ func NewHarness(proc *uarch.Processor, opts Options) (*Harness, error) {
 // Processor returns the processor under test.
 func (h *Harness) Processor() *uarch.Processor { return h.proc }
 
+// maxExperimentInsts bounds an experiment's total instruction count,
+// so a forged or overflowed count is an error instead of an
+// out-of-memory crash. It is far above every experiment the repository
+// builds (the largest is a 58-instruction weighted pair) and still
+// admits hand-written stress kernels such as pmevo-sim's
+// add_r64_r64:100000.
+const maxExperimentInsts = 1 << 17
+
 // BuildConcreteLoop expands the experiment into an unrolled, operand-
 // allocated loop body of concrete instructions, returning the body and
 // the number of experiment instances per loop iteration. This is the
 // input for both the simulator (via ToMachineInsts) and the C emitter.
+// A negative count, or more than maxExperimentInsts instructions in
+// total, is an error.
 func (h *Harness) BuildConcreteLoop(e portmap.Experiment) ([]Inst, int, error) {
+	total := 0
+	for _, t := range e {
+		if t.Count < 0 {
+			return nil, 0, fmt.Errorf("measure: instruction %d has negative count %d", t.Inst, t.Count)
+		}
+		if t.Count > maxExperimentInsts-total {
+			return nil, 0, fmt.Errorf("measure: experiment has more than %d instructions", maxExperimentInsts)
+		}
+		total += t.Count
+	}
 	e = e.Normalize()
 	if len(e) == 0 {
 		return nil, 0, fmt.Errorf("measure: empty experiment")

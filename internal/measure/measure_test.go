@@ -2,15 +2,12 @@ package measure
 
 import (
 	"context"
-	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"pmevo/internal/cachestore"
-	"pmevo/internal/cachetable"
 	"pmevo/internal/isa"
 	"pmevo/internal/machine"
 	"pmevo/internal/portmap"
@@ -221,6 +218,44 @@ func TestBuildLoopUnrolls(t *testing.T) {
 	}
 	if _, _, err := h.BuildLoop(portmap.Experiment{{Inst: 99999, Count: 1}}); err == nil {
 		t.Error("out-of-range instruction accepted")
+	}
+}
+
+// TestUnbuildableExperimentsRejected: an experiment with a negative
+// count, or with more than maxExperimentInsts instructions, is an error
+// from BuildLoop, Measure and MeasureAll alike. A negative count must
+// neither be dropped (measuring a different experiment) nor divide by a
+// zero-length sequence (a panic that kills the process when it happens
+// on a MeasureAll pool goroutine), and an over-limit count must not be
+// allocated.
+func TestUnbuildableExperimentsRejected(t *testing.T) {
+	h, err := NewHarness(uarch.SKL(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		e    portmap.Experiment
+	}{
+		{"all-negative", portmap.Experiment{{Inst: 0, Count: -1}}},
+		{"mixed-sign", portmap.Experiment{{Inst: 0, Count: 1}, {Inst: 1, Count: -3}}},
+		{"over-limit", portmap.Experiment{{Inst: 0, Count: maxExperimentInsts + 1}}},
+		{"over-limit-sum", portmap.Experiment{{Inst: 0, Count: maxExperimentInsts}, {Inst: 1, Count: 1}}},
+		{"overflowing-sum", portmap.Experiment{{Inst: 0, Count: math.MaxInt}, {Inst: 1, Count: math.MaxInt}}},
+	}
+	valid := portmap.Experiment{{Inst: 0, Count: 1}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if body, _, err := h.BuildLoop(c.e); err == nil {
+				t.Errorf("BuildLoop built a %d-instruction body", len(body))
+			}
+			if v, err := h.Measure(c.e); err == nil {
+				t.Errorf("Measure returned %v", v)
+			}
+			if vs, err := h.MeasureAll(context.Background(), []portmap.Experiment{valid, c.e}); err == nil {
+				t.Errorf("MeasureAll returned %v", vs)
+			}
+		})
 	}
 }
 
@@ -768,12 +803,12 @@ func TestMeasureNoiseStreamIndependentOfCache(t *testing.T) {
 	}
 }
 
-// TestKernelCachePeriodHints pins the per-body hint seam: a second
-// harness measuring the same experiments under a different iteration
-// budget misses the kernel cache (its keys include the budget) but
-// reuses the periods the first harness detected — and its results stay
-// bit-identical to an uncached harness with the same configuration.
-func TestKernelCachePeriodHints(t *testing.T) {
+// TestKernelCacheKeyIncludesBudget pins that the iteration budget is
+// part of the kernel-cache key: a second harness measuring the same
+// experiments under a different MeasureIters misses the cache, and its
+// results stay bit-identical to an uncached harness with the same
+// configuration.
+func TestKernelCacheKeyIncludesBudget(t *testing.T) {
 	FlushSimCache()
 	defer FlushSimCache()
 	proc := uarch.SKL()
@@ -802,16 +837,11 @@ func TestKernelCachePeriodHints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Distinct-body keys from harness A never hit (the budget is part of
-	// the key): every simulation B actually runs is a miss (its only hits
-	// are bodies aliased within its own batch), and the misses reuse A's
-	// detected periods through the hint table.
-	st := b.CacheStats()
-	if st.SimMisses == 0 {
+	// Keys from harness A never hit (the budget is part of the key): every
+	// simulation B actually runs is a miss, and its only hits are bodies
+	// aliased within its own batch.
+	if st := b.CacheStats(); st.SimMisses == 0 {
 		t.Fatal("budget change produced no kernel-cache misses")
-	}
-	if st.SimPeriodHints == 0 {
-		t.Error("no period hints reused across iteration budgets")
 	}
 
 	optsOff := optsB
@@ -826,145 +856,7 @@ func TestKernelCachePeriodHints(t *testing.T) {
 	}
 	for i := range es {
 		if got[i] != want[i] {
-			t.Errorf("experiment %d: hinted %v != unhinted %v", i, got[i], want[i])
+			t.Errorf("experiment %d: cached %v != uncached %v", i, got[i], want[i])
 		}
-	}
-	if off := plain.CacheStats(); off.SimPeriodHints != 0 {
-		t.Errorf("disabled cache recorded hint traffic: %+v", off)
-	}
-}
-
-// TestPeriodHintDiskRoundTrip pins the persisted half of the hint seam:
-// hints spilled by one process warm-start detection in the next — a
-// "fresh process" (flushed tables) that loads only the hint file reuses
-// the previously detected periods on first contact with each body, with
-// results bit-identical to cold detection. Damaged, missing, or
-// out-of-range hint files degrade to cold detection.
-//
-// MeasureAll runs experiments on parallel workers, so how a batch splits
-// into kernel-cache hits and misses, and whether one experiment's
-// detected period serves another's miss within the batch, depend on
-// which worker reaches a shared body first. The test therefore asserts
-// only facts that hold on every schedule: bit-identical values, no
-// disk-warm kernel hits, one kernel-cache lookup per experiment, hint
-// traffic after a good load, and an empty hint table after a failed
-// one.
-func TestPeriodHintDiskRoundTrip(t *testing.T) {
-	FlushSimCache()
-	defer FlushSimCache()
-	proc := uarch.SKL()
-	var es []portmap.Experiment
-	for i := 0; i < 6; i++ {
-		es = append(es, portmap.Experiment{{Inst: proc.ISA.Form(i).ID, Count: 1}})
-	}
-	opts := DefaultOptions()
-	opts.Seed = 23
-	measureAll := func() ([]float64, CacheStats) {
-		h, err := NewHarness(proc, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := h.MeasureAll(context.Background(), es)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got, h.CacheStats()
-	}
-
-	// checkTraffic asserts the schedule-independent kernel-cache facts of
-	// one MeasureAll over es: the kernel cache was never warm-started from
-	// disk, and every experiment made exactly one lookup.
-	checkTraffic := func(t *testing.T, run string, st CacheStats) {
-		t.Helper()
-		if st.SimWarmHits != 0 {
-			t.Errorf("%s: %d disk-warm kernel hits without a kernel-cache load: %+v", run, st.SimWarmHits, st)
-		}
-		if n := st.SimHits + st.SimMisses; n != int64(len(es)) {
-			t.Errorf("%s: %d kernel-cache lookups for %d experiments: %+v", run, n, len(es), st)
-		}
-	}
-
-	want, coldStats := measureAll()
-	checkTraffic(t, "cold", coldStats)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "period-hints.pmc")
-	if err := SaveHintCache(path); err != nil {
-		t.Fatal(err)
-	}
-
-	// "Fresh process": both tables empty, only the hint file loaded. The
-	// kernel cache stays cold, so every body re-simulates — now hinted.
-	FlushSimCache()
-	loaded, lerr := LoadHintCache(path)
-	if loaded == 0 {
-		t.Fatalf("loaded no hints (err %v)", lerr)
-	}
-	got, warmStats := measureAll()
-	for i := range es {
-		if got[i] != want[i] {
-			t.Errorf("experiment %d: hint-warmed %v != cold %v", i, got[i], want[i])
-		}
-	}
-	// The hint file feeds only the hint table: the kernel cache stayed
-	// cold, while every body's first miss found its disk-loaded period.
-	checkTraffic(t, "hint-warmed", warmStats)
-	if warmStats.SimPeriodHints == 0 {
-		t.Error("disk-loaded hints never engaged on first contact")
-	}
-
-	// Damaged or missing files must degrade to cold detection, results
-	// unchanged.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrupt := func(name string, mutate func() error) {
-		t.Run(name, func(t *testing.T) {
-			if err := mutate(); err != nil {
-				t.Fatal(err)
-			}
-			FlushSimCache()
-			loaded, lerr := LoadHintCache(path)
-			if loaded != 0 || lerr == nil {
-				t.Fatalf("damaged hint file loaded %d entries (err %v)", loaded, lerr)
-			}
-			// Spilling the hint table straight after the failed load shows
-			// it seeded nothing, before measurement adds hints of its own.
-			spill := filepath.Join(dir, "after-failed-load.pmc")
-			if err := SaveHintCache(spill); err != nil {
-				t.Fatal(err)
-			}
-			if seeded, err := cachestore.Load(spill, cachestore.SchemaPeriodHints, hintCacheContentKey); len(seeded) != 0 {
-				t.Fatalf("failed load seeded %d hints (err %v)", len(seeded), err)
-			}
-			got, stats := measureAll()
-			for i := range es {
-				if got[i] != want[i] {
-					t.Errorf("experiment %d: after failed load %v != cold %v", i, got[i], want[i])
-				}
-			}
-			checkTraffic(t, "after failed load", stats)
-		})
-	}
-	corrupt("truncated", func() error { return os.WriteFile(path, data[:len(data)/2], 0o644) })
-	corrupt("bit-flipped", func() error {
-		b := append([]byte(nil), data...)
-		b[len(b)/2] ^= 0x40
-		return os.WriteFile(path, b, 0o644)
-	})
-	corrupt("missing", func() error { return os.Remove(path) })
-
-	// A well-formed file whose values are outside the valid period range
-	// (a collision artifact, or a file written by a buggy producer) seeds
-	// nothing.
-	if err := cachestore.Save(path, cachestore.SchemaPeriodHints, hintCacheContentKey, []cachetable.Entry{
-		{Key: 12345, Val: 1},                 // periods must exceed one iteration
-		{Key: 67890, Val: maxPeriodHint + 5}, // absurdly large
-	}); err != nil {
-		t.Fatal(err)
-	}
-	FlushSimCache()
-	if loaded, lerr := LoadHintCache(path); loaded != 0 || !errors.Is(lerr, ErrNoValidHints) {
-		t.Fatalf("out-of-range hints loaded %d entries (err %v)", loaded, lerr)
 	}
 }
