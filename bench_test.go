@@ -589,6 +589,9 @@ func BenchmarkMachineRunDeadCycles(b *testing.B) {
 	}
 }
 
+// BenchmarkMeasureExperiment measures one experiment repeatedly: after
+// the first iteration every measurement is a kernel-cache hit, which
+// builds the loop body in a pooled arena and allocates nothing.
 func BenchmarkMeasureExperiment(b *testing.B) {
 	proc := uarch.SKL()
 	h, err := measure.NewHarness(proc, measure.DefaultOptions())
@@ -598,6 +601,7 @@ func BenchmarkMeasureExperiment(b *testing.B) {
 	add, _ := proc.ISA.FormByName("add_r64_r64")
 	ld, _ := proc.ISA.FormByName("mov_r64_m64")
 	e := portmap.Experiment{{Inst: add.ID, Count: 1}, {Inst: ld.ID, Count: 1}}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := h.Measure(e); err != nil {

@@ -8,12 +8,12 @@ import (
 
 // scratchescape enforces the worker-locality contract behind PMEvo's
 // parallel fitness evaluation (PLDI 2020 §5): per-worker scratch arenas
-// — engine.evalScratch, machine's runScratch, and anything drawn from a
-// sync.Pool — are reused across claims, so a value that escapes the
-// claiming function's control (stored through a non-local path, sent on
-// a channel, captured by a spawned goroutine, or returned from a
-// non-accessor) can be handed to the next worker while the first still
-// writes to it. The analyzer also checks the release half of the
+// — engine.evalScratch, machine's runScratch, measure's loopArena, and
+// anything drawn from a sync.Pool — are reused across claims, so a
+// value that escapes the claiming function's control (stored through a
+// non-local path, sent on a channel, captured by a spawned goroutine,
+// or returned from a non-accessor) can be handed to the next worker
+// while the first still writes to it. The analyzer also checks the release half of the
 // contract: within the claiming function, a Pool.Put (or a
 // put*/release*/free*-named call) on the claimed value must dominate
 // every path to the exit, or the arena silently stops being reused.
@@ -28,7 +28,7 @@ type scratchescape struct{}
 func (*scratchescape) Name() string { return "scratchescape" }
 
 func (*scratchescape) Doc() string {
-	return "per-worker scratch values (engine.evalScratch, machine.runScratch, sync.Pool gets) must not " +
+	return "per-worker scratch values (engine.evalScratch, machine.runScratch, measure.loopArena, sync.Pool gets) must not " +
 		"escape their claiming function and must be released on every path to return"
 }
 
@@ -37,6 +37,7 @@ func (*scratchescape) Doc() string {
 var scratchTypes = [...]struct{ pathSuffix, name string }{
 	{"engine", "evalScratch"},
 	{"machine", "runScratch"},
+	{"measure", "loopArena"},
 }
 
 func isScratchType(t types.Type) bool {

@@ -13,10 +13,13 @@
 package measure
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"pmevo/internal/isa"
 	"pmevo/internal/machine"
+	"pmevo/internal/portmap"
 )
 
 // Register ID space: each register class gets a disjoint ID range so the
@@ -82,58 +85,70 @@ type Inst struct {
 //
 // Memory operands use a dedicated base pointer plus rotating constant
 // offsets so consecutive memory accesses touch distinct addresses.
+//
+// The state is one slice per register class, reset in place, so the
+// loop arena (loopArena) reuses one allocator across builds.
 type Allocator struct {
 	sizes PoolSizes
-	pools map[isa.RegClass]*regPool
-	clock int
-	mem   int // next memory offset (rotating)
+	pools [3]regPool // GPR, Vec, FPR; see pool
+	clock int        // the current instruction's timestamp
+	mem   int        // next memory offset (rotating)
 }
 
-type regPool struct {
-	n         int
-	lastRead  []int
-	lastWrite []int
-}
-
-func newRegPool(n int) *regPool {
-	p := &regPool{n: n, lastRead: make([]int, n), lastWrite: make([]int, n)}
-	for i := range p.lastRead {
-		p.lastRead[i] = -1
-		p.lastWrite[i] = -1
-	}
-	return p
-}
+// regPool is one register class: per register, the timestamps of its
+// last read and last write, and of the instruction that last took it
+// (usedAt == clock marks it as taken by the current instruction).
+type regPool []struct{ lastRead, lastWrite, usedAt int }
 
 // NewAllocator creates an allocator with the given pool sizes.
 func NewAllocator(sizes PoolSizes) (*Allocator, error) {
+	a := new(Allocator)
+	if err := a.reset(sizes); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// reset validates the pool sizes and returns the allocator to its
+// initial state, reusing its storage.
+func (a *Allocator) reset(sizes PoolSizes) error {
 	if sizes.GPR < 2 || sizes.Vec < 2 || sizes.FPR < 2 {
-		return nil, fmt.Errorf("measure: register pools too small: %+v", sizes)
+		return fmt.Errorf("measure: register pools too small: %+v", sizes)
 	}
 	if sizes.MemOffsets < 1 {
-		return nil, fmt.Errorf("measure: need at least one memory offset")
+		return fmt.Errorf("measure: need at least one memory offset")
 	}
-	return &Allocator{
-		sizes: sizes,
-		pools: map[isa.RegClass]*regPool{
-			isa.ClassGPR: newRegPool(sizes.GPR),
-			isa.ClassVec: newRegPool(sizes.Vec),
-			isa.ClassFPR: newRegPool(sizes.FPR),
-		},
-	}, nil
+	a.sizes, a.clock, a.mem = sizes, 0, 0
+	for i, n := range [3]int{sizes.GPR, sizes.Vec, sizes.FPR} {
+		p := slices.Grow(a.pools[i][:0], n)[:n]
+		for r := range p {
+			p[r].lastRead, p[r].lastWrite, p[r].usedAt = -1, -1, 0
+		}
+		a.pools[i] = p
+	}
+	return nil
+}
+
+// pool returns the register pool of class c, or nil if c has none.
+func (a *Allocator) pool(c isa.RegClass) regPool {
+	if c < isa.ClassGPR || c > isa.ClassFPR {
+		return nil
+	}
+	return a.pools[c-isa.ClassGPR]
 }
 
 // pickRead selects a register for a read (or read-write) operand:
 // the least recently written register, ties broken by the least recently
 // read one, excluding registers already used by this instruction.
-func (a *Allocator) pickRead(p *regPool, used map[int]bool) int {
+func (a *Allocator) pickRead(p regPool) int {
 	best := -1
-	for r := 0; r < p.n; r++ {
-		if used[r] {
+	for r := range p {
+		if p[r].usedAt == a.clock {
 			continue
 		}
 		if best < 0 ||
-			p.lastWrite[r] < p.lastWrite[best] ||
-			(p.lastWrite[r] == p.lastWrite[best] && p.lastRead[r] < p.lastRead[best]) {
+			p[r].lastWrite < p[best].lastWrite ||
+			(p[r].lastWrite == p[best].lastWrite && p[r].lastRead < p[best].lastRead) {
 			best = r
 		}
 	}
@@ -142,72 +157,91 @@ func (a *Allocator) pickRead(p *regPool, used map[int]bool) int {
 
 // pickWrite selects a register for a write-only operand: the most
 // recently read register, ties broken by the least recently written one.
-func (a *Allocator) pickWrite(p *regPool, used map[int]bool) int {
+func (a *Allocator) pickWrite(p regPool) int {
 	best := -1
-	for r := 0; r < p.n; r++ {
-		if used[r] {
+	for r := range p {
+		if p[r].usedAt == a.clock {
 			continue
 		}
 		if best < 0 ||
-			p.lastRead[r] > p.lastRead[best] ||
-			(p.lastRead[r] == p.lastRead[best] && p.lastWrite[r] < p.lastWrite[best]) {
+			p[r].lastRead > p[best].lastRead ||
+			(p[r].lastRead == p[best].lastRead && p[r].lastWrite < p[best].lastWrite) {
 			best = r
 		}
 	}
 	return best
 }
 
+// check reports why f cannot be instantiated: a register operand of a
+// class without a pool, or more register operands of one class than the
+// pool has registers. It changes no state, so a build can reject an
+// experiment before it starts, and assign never runs out of registers.
+func (a *Allocator) check(f *isa.Form) error {
+	var taken [3]int
+	for _, op := range f.Operands {
+		if op.Kind != isa.KindReg {
+			continue
+		}
+		p := a.pool(op.Class)
+		if p == nil {
+			return fmt.Errorf("measure: no pool for register class %v", op.Class)
+		}
+		k := op.Class - isa.ClassGPR
+		taken[k]++
+		if taken[k] > len(p) {
+			return fmt.Errorf("measure: register pool %v exhausted for %s", op.Class, f.Name())
+		}
+	}
+	return nil
+}
+
+// assign returns the concrete operand for operand i of f in the current
+// instruction. It is the one allocation policy of the package: Instantiate
+// and the loop arena both call it, after check(f) passed and after
+// advancing the clock once per instruction.
+func (a *Allocator) assign(f *isa.Form, i int) Operand {
+	op := f.Operands[i]
+	switch op.Kind {
+	case isa.KindImm:
+		return Operand{Kind: isa.KindImm, Imm: int64(1 + i)}
+	case isa.KindMem:
+		off := a.mem
+		a.mem = (a.mem + 1) % a.sizes.MemOffsets
+		return Operand{
+			Kind:   isa.KindMem,
+			Class:  isa.ClassGPR,
+			Reg:    0, // the dedicated base pointer
+			Offset: off,
+		}
+	case isa.KindReg:
+		p := a.pool(op.Class)
+		var r int
+		if op.Read {
+			r = a.pickRead(p)
+		} else {
+			r = a.pickWrite(p)
+		}
+		p[r].usedAt = a.clock
+		if op.Read {
+			p[r].lastRead = a.clock
+		}
+		if op.Write {
+			p[r].lastWrite = a.clock
+		}
+		return Operand{Kind: isa.KindReg, Class: op.Class, Reg: r}
+	}
+	return Operand{}
+}
+
 // Instantiate assigns concrete operands to one instruction form.
 func (a *Allocator) Instantiate(f *isa.Form) (Inst, error) {
-	a.clock++
-	now := a.clock
-	inst := Inst{Form: f, Operands: make([]Operand, len(f.Operands))}
-	usedPerClass := map[isa.RegClass]map[int]bool{}
-	usedIn := func(c isa.RegClass) map[int]bool {
-		if usedPerClass[c] == nil {
-			usedPerClass[c] = make(map[int]bool)
-		}
-		return usedPerClass[c]
+	if err := a.check(f); err != nil {
+		return Inst{}, err
 	}
-
-	for i, op := range f.Operands {
-		switch op.Kind {
-		case isa.KindImm:
-			inst.Operands[i] = Operand{Kind: isa.KindImm, Imm: int64(1 + i)}
-		case isa.KindMem:
-			off := a.mem
-			a.mem = (a.mem + 1) % a.sizes.MemOffsets
-			inst.Operands[i] = Operand{
-				Kind:   isa.KindMem,
-				Class:  isa.ClassGPR,
-				Reg:    0, // the dedicated base pointer
-				Offset: off,
-			}
-		case isa.KindReg:
-			pool, ok := a.pools[op.Class]
-			if !ok {
-				return Inst{}, fmt.Errorf("measure: no pool for register class %v", op.Class)
-			}
-			used := usedIn(op.Class)
-			var r int
-			if op.Read {
-				r = a.pickRead(pool, used)
-			} else {
-				r = a.pickWrite(pool, used)
-			}
-			if r < 0 {
-				return Inst{}, fmt.Errorf("measure: register pool %v exhausted for %s",
-					op.Class, f.Name())
-			}
-			used[r] = true
-			if op.Read {
-				pool.lastRead[r] = now
-			}
-			if op.Write {
-				pool.lastWrite[r] = now
-			}
-			inst.Operands[i] = Operand{Kind: isa.KindReg, Class: op.Class, Reg: r}
-		}
+	a.clock++
+	inst := Inst{Form: f, Operands: make([]Operand, len(f.Operands))}
+	for i := range f.Operands {
+		inst.Operands[i] = a.assign(f, i)
 	}
 	return inst, nil
 }
@@ -276,4 +310,124 @@ func ToMachineInsts(seq []Inst) []machine.Inst {
 		out[i] = ToMachineInst(in)
 	}
 	return out
+}
+
+// loopArena is one worker's storage for building loop bodies without
+// allocating once its buffers have grown to the largest body built. A
+// Harness keeps its arenas in a sync.Pool; a body built in an arena is
+// valid until the arena's next build.
+type loopArena struct {
+	terms portmap.Experiment // the normalized experiment
+	alloc Allocator
+	ops   []Operand // the current instruction's concrete operands
+	body  []machine.Inst
+	regs  []int // every Reads and Writes list of body, back to back
+}
+
+// build is BuildLoop into the arena's storage: the same body, instance
+// count and errors, bit for bit, from the same allocation policy
+// (Allocator.assign). Every error is found before the body is started.
+func (a *loopArena) build(h *Harness, e portmap.Experiment) ([]machine.Inst, int, error) {
+	if err := checkCounts(e); err != nil {
+		return nil, 0, err
+	}
+	a.normalize(e)
+	if len(a.terms) == 0 {
+		return nil, 0, errEmptyExperiment
+	}
+	total := 0
+	for _, t := range a.terms {
+		if t.Inst < 0 || t.Inst >= h.proc.ISA.NumForms() {
+			return nil, 0, fmt.Errorf("measure: instruction %d out of range", t.Inst)
+		}
+		total += t.Count
+	}
+	instances := (h.opts.UnrollLength + total - 1) / total
+	if err := a.alloc.reset(h.opts.Pools); err != nil {
+		return nil, 0, err
+	}
+	for _, t := range a.terms {
+		if err := a.alloc.check(h.proc.ISA.Form(t.Inst)); err != nil {
+			return nil, 0, err
+		}
+	}
+	a.body, a.regs = a.body[:0], a.regs[:0]
+	for k := 0; k < instances; k++ {
+		for _, t := range a.terms {
+			f := h.proc.ISA.Form(t.Inst)
+			for j := 0; j < t.Count; j++ {
+				a.lower(f)
+			}
+		}
+	}
+	return a.body, instances, nil
+}
+
+// normalize stores e.Normalize() in a.terms: terms merged by
+// instruction, zero counts dropped, sorted by instruction. The counts
+// are non-negative (checkCounts), so a merged count is zero only when
+// every merged term is.
+func (a *loopArena) normalize(e portmap.Experiment) {
+	a.terms = append(a.terms[:0], e...)
+	slices.SortFunc(a.terms, func(x, y portmap.InstCount) int { return cmp.Compare(x.Inst, y.Inst) })
+	w := 0
+	for r := 0; r < len(a.terms); {
+		t := a.terms[r]
+		for r++; r < len(a.terms) && a.terms[r].Inst == t.Inst; r++ {
+			t.Count += a.terms[r].Count
+		}
+		if t.Count != 0 {
+			a.terms[w] = t
+			w++
+		}
+	}
+	a.terms = a.terms[:w]
+}
+
+// lower instantiates f as the body's next instruction and appends its
+// simulator form, as ToMachineInst would lower it. In operand order, a
+// register operand adds its register to the reads if it is read and to
+// the writes if it is written; a memory operand adds the base pointer to
+// the reads, and its offset's pseudo-register to the reads of a load and
+// the writes of a store. An empty list stays nil.
+func (a *loopArena) lower(f *isa.Form) {
+	a.alloc.clock++
+	a.ops = a.ops[:0]
+	for i := range f.Operands {
+		a.ops = append(a.ops, a.alloc.assign(f, i))
+	}
+	start := len(a.regs)
+	for i, op := range a.ops {
+		switch op.Kind {
+		case isa.KindReg:
+			if f.Operands[i].Read {
+				a.regs = append(a.regs, regID(op.Class, op.Reg))
+			}
+		case isa.KindMem:
+			a.regs = append(a.regs, basePtrID)
+			if f.Operands[i].Read {
+				a.regs = append(a.regs, memBase+op.Offset)
+			}
+		}
+	}
+	mid := len(a.regs)
+	for i, op := range a.ops {
+		if !f.Operands[i].Write {
+			continue
+		}
+		switch op.Kind {
+		case isa.KindReg:
+			a.regs = append(a.regs, regID(op.Class, op.Reg))
+		case isa.KindMem:
+			a.regs = append(a.regs, memBase+op.Offset)
+		}
+	}
+	in := machine.Inst{Spec: f.ID}
+	if mid > start {
+		in.Reads = a.regs[start:mid:mid]
+	}
+	if end := len(a.regs); end > mid {
+		in.Writes = a.regs[mid:end:end]
+	}
+	a.body = append(a.body, in)
 }

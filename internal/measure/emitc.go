@@ -2,6 +2,8 @@ package measure
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"pmevo/internal/isa"
@@ -14,11 +16,20 @@ import (
 // generation scheme while the simulator performs the actual measurement.
 
 // x86GPRNames are the general purpose registers the allocator may use
-// (rsp, rbp are reserved; r15 is the memory base pointer).
-var x86GPRNames = []string{
-	"rax", "rbx", "rcx", "rdx", "rsi", "rdi",
-	"r8", "r9", "r10", "r11", "r12", "r13", "r14",
-}
+// (rsp, rbp are reserved; r15 is the memory base pointer), by width:
+// the 64-, 32-, 16- and 8-bit name of each.
+var x86GPRNames = func() [][4]string {
+	out := [][4]string{
+		{"rax", "eax", "ax", "al"}, {"rbx", "ebx", "bx", "bl"},
+		{"rcx", "ecx", "cx", "cl"}, {"rdx", "edx", "dx", "dl"},
+		{"rsi", "esi", "si", "sil"}, {"rdi", "edi", "di", "dil"},
+	}
+	for i := 8; i <= 14; i++ {
+		r := fmt.Sprintf("r%d", i)
+		out = append(out, [4]string{r, r + "d", r + "w", r + "b"})
+	}
+	return out
+}()
 
 // armGPRNames are the usable A64 general purpose registers (x28 is the
 // base pointer, x29/x30 frame/link).
@@ -30,11 +41,22 @@ var armGPRNames = func() []string {
 	return out
 }()
 
-func gprName(isaName string, r int) string {
+// gprName names GPR r at an operand width; A64 names are always the
+// 64-bit ones.
+func gprName(isaName string, r, width int) string {
 	if isaName == "ARMv8-A" {
 		return armGPRNames[r%len(armGPRNames)]
 	}
-	return x86GPRNames[r%len(x86GPRNames)]
+	names := x86GPRNames[r%len(x86GPRNames)]
+	switch width {
+	case 32:
+		return names[1]
+	case 16:
+		return names[2]
+	case 8:
+		return names[3]
+	}
+	return names[0]
 }
 
 func vecName(isaName string, r int, width int) string {
@@ -86,7 +108,7 @@ func renderOperand(isaName string, spec isa.Operand, op Operand) string {
 		case isa.ClassFPR:
 			return fprName(op.Reg, spec.Width)
 		default:
-			n := gprName(isaName, op.Reg)
+			n := gprName(isaName, op.Reg, spec.Width)
 			if isaName == "ARMv8-A" {
 				return n
 			}
@@ -95,7 +117,9 @@ func renderOperand(isaName string, spec isa.Operand, op Operand) string {
 	}
 }
 
-// RenderAsm renders one instruction instance in assembly syntax.
+// RenderAsm renders one instruction instance in assembly syntax: A64
+// lists the destination first, as the forms do; x86 uses AT&T syntax,
+// which lists the sources first and the destination last.
 func RenderAsm(isaName string, in Inst) string {
 	if len(in.Operands) == 0 {
 		return in.Form.Mnemonic
@@ -104,13 +128,47 @@ func RenderAsm(isaName string, in Inst) string {
 	for i, op := range in.Operands {
 		parts[i] = renderOperand(isaName, in.Form.Operands[i], op)
 	}
+	if isaName != "ARMv8-A" {
+		slices.Reverse(parts)
+	}
 	return in.Form.Mnemonic + " " + strings.Join(parts, ", ")
+}
+
+// x86Clobbers renders an x86 asm statement's clobber list: the flags,
+// memory and every register the loop body names — a GPR by its 64-bit
+// name, a vector register by its ymm name, which covers the xmm alias —
+// in name order. The base pointer is an input, never written, so it is
+// not listed.
+func x86Clobbers(body []Inst) string {
+	regs := map[string]bool{}
+	for _, in := range body {
+		for _, op := range in.Operands {
+			if op.Kind != isa.KindReg {
+				continue
+			}
+			switch op.Class {
+			case isa.ClassGPR:
+				regs[gprName("x86-64", op.Reg, 64)] = true
+			case isa.ClassVec:
+				regs[vecName("x86-64", op.Reg, 256)] = true
+			}
+		}
+	}
+	out := `"cc", "memory"`
+	for _, r := range slices.Sorted(maps.Keys(regs)) {
+		out += `, "` + r + `"`
+	}
+	return out
 }
 
 // EmitC produces the complete benchmark C program for an instantiated
 // loop body: setup of the memory base pointer, the timed loop with the
 // body as inline assembly, and the throughput computation from the
-// §4.2 formula t*(e) = time × frequency / #instances.
+// §4.2 formula t*(e) = time × frequency / #instances. The asm statement
+// takes the base pointer as an operand, so its template escapes every
+// % of the body; on x86 it also clobbers the flags and every register
+// the body names, so the compiler keeps the loop's own state elsewhere.
+// The x86 program compiles with gcc; the A64 program is unverified.
 func EmitC(isaName string, body []Inst, loopBound, instances int, freqGHz float64) string {
 	var b strings.Builder
 	b.WriteString("/* generated by pmevo-measure; do not edit */\n")
@@ -124,9 +182,13 @@ func EmitC(isaName string, body []Inst, loopBound, instances int, freqGHz float6
 	b.WriteString("\tfor (long i = 0; i < loop_bound; i++) {\n")
 	b.WriteString("\t\t__asm__ volatile(\n")
 	for _, in := range body {
-		fmt.Fprintf(&b, "\t\t\t\"%s\\n\\t\"\n", RenderAsm(isaName, in))
+		fmt.Fprintf(&b, "\t\t\t\"%s\\n\\t\"\n", strings.ReplaceAll(RenderAsm(isaName, in), "%", "%%"))
 	}
-	b.WriteString("\t\t: : \"r\"(base) : \"memory\");\n")
+	clobbers := `"memory"`
+	if isaName != "ARMv8-A" {
+		clobbers = x86Clobbers(body)
+	}
+	fmt.Fprintf(&b, "\t\t: : \"r\"(base) : %s);\n", clobbers)
 	b.WriteString("\t}\n")
 	b.WriteString("\tgettimeofday(&end, NULL);\n")
 	b.WriteString("\tdouble secs = (end.tv_sec - start.tv_sec) + (end.tv_usec - start.tv_usec) * 1e-6;\n")

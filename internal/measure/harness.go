@@ -2,10 +2,12 @@ package measure
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"pmevo/internal/engine"
@@ -45,10 +47,14 @@ type Options struct {
 	Seed int64
 	// Pools overrides the register pool sizes (zero value: ISA default).
 	Pools PoolSizes
-	// DisableSimCache bypasses the shared kernel-simulation cache (the
-	// noiseless steady-state cycles per canonical loop body; see
-	// simcache.go). Measurement results are bit-identical either way —
-	// the knob exists for benchmarking and debugging.
+	// DisableSimCache selects the reference side of every twin check:
+	// each experiment's loop body is built by the reference BuildLoop,
+	// not in a pooled loop arena, and simulated on its own, bypassing the
+	// shared kernel-simulation cache (the noiseless steady-state cycles
+	// per canonical loop body; see simcache.go) and MeasureAll's
+	// per-batch deduplication. Measurement results are bit-identical
+	// either way, so a twin check with the knob set also checks the
+	// arena against the reference builder.
 	DisableSimCache bool
 }
 
@@ -74,7 +80,10 @@ type Harness struct {
 	opts Options
 	rng  *rand.Rand
 
-	measurements int // number of Measure calls, for cost accounting
+	measurements int       // number of Measure calls, for cost accounting
+	reps         []float64 // applyNoise's repetitions, Options.Repetitions long
+
+	arenas sync.Pool // *loopArena
 
 	// Kernel-cache counters; atomic because MeasureAll simulates
 	// concurrently. simWarmHits is the subset of simHits served by
@@ -107,7 +116,8 @@ func NewHarness(proc *uarch.Processor, opts Options) (*Harness, error) {
 		mach: mach,
 		opts: opts,
 		//pmevo:allow detrand -- seeded per-harness noise stream: draws happen in experiment order (MeasureAll contract), reproducible from Options.Seed
-		rng: rand.New(rand.NewSource(opts.Seed)),
+		rng:  rand.New(rand.NewSource(opts.Seed)),
+		reps: make([]float64, opts.Repetitions),
 	}, nil
 }
 
@@ -122,26 +132,25 @@ func (h *Harness) Processor() *uarch.Processor { return h.proc }
 // add_r64_r64:100000.
 const maxExperimentInsts = 1 << 17
 
+var errEmptyExperiment = errors.New("measure: empty experiment")
+
 // BuildConcreteLoop expands the experiment into an unrolled, operand-
 // allocated loop body of concrete instructions, returning the body and
 // the number of experiment instances per loop iteration. This is the
 // input for both the simulator (via ToMachineInsts) and the C emitter.
 // A negative count, or more than maxExperimentInsts instructions in
 // total, is an error.
+//
+// BuildConcreteLoop and BuildLoop are the reference builders. Measurement
+// builds the same body in a pooled loop arena (loopArena.build) unless
+// Options.DisableSimCache routes it through BuildLoop.
 func (h *Harness) BuildConcreteLoop(e portmap.Experiment) ([]Inst, int, error) {
-	total := 0
-	for _, t := range e {
-		if t.Count < 0 {
-			return nil, 0, fmt.Errorf("measure: instruction %d has negative count %d", t.Inst, t.Count)
-		}
-		if t.Count > maxExperimentInsts-total {
-			return nil, 0, fmt.Errorf("measure: experiment has more than %d instructions", maxExperimentInsts)
-		}
-		total += t.Count
+	if err := checkCounts(e); err != nil {
+		return nil, 0, err
 	}
 	e = e.Normalize()
 	if len(e) == 0 {
-		return nil, 0, fmt.Errorf("measure: empty experiment")
+		return nil, 0, errEmptyExperiment
 	}
 	var seqForms []*isa.Form
 	for _, t := range e {
@@ -166,6 +175,23 @@ func (h *Harness) BuildConcreteLoop(e portmap.Experiment) ([]Inst, int, error) {
 		body = append(body, insts...)
 	}
 	return body, instances, nil
+}
+
+// checkCounts rejects a negative count and an experiment of more than
+// maxExperimentInsts instructions, on the raw terms (overflow-safely),
+// before anything is built.
+func checkCounts(e portmap.Experiment) error {
+	total := 0
+	for _, t := range e {
+		if t.Count < 0 {
+			return fmt.Errorf("measure: instruction %d has negative count %d", t.Inst, t.Count)
+		}
+		if t.Count > maxExperimentInsts-total {
+			return fmt.Errorf("measure: experiment has more than %d instructions", maxExperimentInsts)
+		}
+		total += t.Count
+	}
+	return nil
 }
 
 // BuildLoop is BuildConcreteLoop lowered to the simulator representation.
@@ -209,11 +235,22 @@ func (h *Harness) Measure(e portmap.Experiment) (float64, error) {
 // construction and the steady-state simulation — through the shared
 // kernel cache, which is keyed on the canonical body and so deduplicates
 // count-scaled experiment aliases and repeats across experiment sets —
-// yielding the noise-free cycles per experiment instance. It touches
-// only atomic harness state, so simulations of independent experiments
-// may run concurrently (the simulated machine is immutable).
+// yielding the noise-free cycles per experiment instance. The body is
+// built in a pooled loop arena, or by the reference BuildLoop when the
+// cache is disabled. It touches only atomic and pooled harness state, so
+// simulations of independent experiments may run concurrently (the
+// simulated machine is immutable).
 func (h *Harness) simulate(e portmap.Experiment) (float64, error) {
-	body, instances, err := h.BuildLoop(e)
+	var body []machine.Inst
+	var instances int
+	var err error
+	if h.opts.DisableSimCache {
+		body, instances, err = h.BuildLoop(e)
+	} else {
+		a := h.arena()
+		defer h.arenas.Put(a)
+		body, instances, err = a.build(h, e)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -224,12 +261,22 @@ func (h *Harness) simulate(e portmap.Experiment) (float64, error) {
 	return cyclesPerIter / float64(instances), nil
 }
 
+// arena takes a loop arena from the harness pool; return it with
+// h.arenas.Put once the body built in it is no longer used.
+func (h *Harness) arena() *loopArena {
+	a, _ := h.arenas.Get().(*loopArena)
+	if a == nil {
+		a = new(loopArena)
+	}
+	return a
+}
+
 // applyNoise draws the configured repetitions of multiplicative
 // measurement noise and returns their median (§4.2). It consumes the
-// harness noise generator and accounting, so calls must occur in
-// measurement order.
+// harness noise generator, accounting and repetition buffer, so calls
+// must occur serially, in measurement order.
 func (h *Harness) applyNoise(perInstance float64) float64 {
-	reps := make([]float64, h.opts.Repetitions)
+	reps := h.reps
 	for i := range reps {
 		noise := 1.0
 		if h.opts.NoiseSigma > 0 {
@@ -240,7 +287,7 @@ func (h *Harness) applyNoise(perInstance float64) float64 {
 		}
 		reps[i] = perInstance * noise
 	}
-	sort.Float64s(reps)
+	slices.Sort(reps)
 	h.measurements++
 	return reps[len(reps)/2]
 }
@@ -255,8 +302,29 @@ func (h *Harness) applyNoise(perInstance float64) float64 {
 // an interrupted batch returns no partial results — measurement batches
 // are all-or-nothing, because the harness's noise stream is drawn in
 // experiment order and a partial draw would desynchronize later
-// measurements.
+// measurements. A failed batch returns the error of its lowest-indexed
+// failing experiment.
 func (h *Harness) MeasureAll(ctx context.Context, es []portmap.Experiment) ([]float64, error) {
+	var perInstance []float64
+	var err error
+	if h.opts.DisableSimCache {
+		perInstance, err = h.simulateEach(ctx, es)
+	} else {
+		perInstance, err = h.simulateBatch(ctx, es)
+	}
+	if err != nil {
+		return nil, err
+	}
+	for i, v := range perInstance {
+		perInstance[i] = h.applyNoise(v)
+	}
+	return perInstance, nil
+}
+
+// simulateEach simulates every experiment of a batch on its own, in
+// parallel, through the reference builder: the cache-disabled twin of
+// simulateBatch.
+func (h *Harness) simulateEach(ctx context.Context, es []portmap.Experiment) ([]float64, error) {
 	perInstance := make([]float64, len(es))
 	errs := make([]error, len(es))
 	if err := engine.ForEachCtx(ctx, len(es), 0, func(i int) {
@@ -264,14 +332,108 @@ func (h *Harness) MeasureAll(ctx context.Context, es []portmap.Experiment) ([]fl
 	}); err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(es))
-	for i := range es {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("experiment %d: %w", i, errs[i])
-		}
-		out[i] = h.applyNoise(perInstance[i])
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
-	return out, nil
+	return perInstance, nil
+}
+
+// simulateBatch is simulate for a whole batch with each distinct body
+// simulated once, in four phases:
+//
+//  1. in parallel, build and key every body in pooled arenas;
+//  2. serially, in experiment order, resolve each key against an earlier
+//     experiment of the batch, then against the kernel cache;
+//  3. in parallel, rebuild each missing body and simulate it once;
+//  4. serially, in experiment order, store the new entries and count the
+//     traffic.
+//
+// Bodies are not kept between phases: rebuilding the missing ones is
+// cheaper than holding a batch of them live. The counters and the
+// table's final state depend only on the batch, not on scheduling:
+// misses equal the distinct keys the cache lacked, every other
+// experiment is a hit, and a hit whose key was seeded from disk is warm,
+// in-batch duplicates included.
+func (h *Harness) simulateBatch(ctx context.Context, es []portmap.Experiment) ([]float64, error) {
+	keys := make([]uint64, len(es))
+	instances := make([]int, len(es))
+	errs := make([]error, len(es))
+	if err := engine.ForEachCtx(ctx, len(es), 0, func(i int) {
+		a := h.arena()
+		body, n, err := a.build(h, es[i])
+		if err == nil {
+			keys[i], instances[i] = simKey(h.mach, h.opts.WarmupIters, h.opts.MeasureIters, body), n
+		}
+		errs[i] = err
+		h.arenas.Put(a)
+	}); err != nil {
+		return nil, err
+	}
+
+	cycles := make([]float64, len(es))
+	src := make([]int, len(es)) // the experiment whose cycles i shares
+	first := make(map[uint64]int, len(es))
+	var misses []int
+	hits, warmHits := 0, 0
+	for i, key := range keys {
+		if errs[i] != nil {
+			continue
+		}
+		j, seen := first[key]
+		if !seen {
+			j = i
+			first[key] = i
+			v, ok := sharedSimCache.Get(key)
+			if !ok {
+				src[i] = i
+				misses = append(misses, i)
+				continue
+			}
+			cycles[i] = math.Float64frombits(v)
+		}
+		src[i] = j
+		hits++
+		if isWarm(key) {
+			warmHits++
+		}
+	}
+
+	if err := engine.ForEachCtx(ctx, len(misses), 0, func(j int) {
+		i := misses[j]
+		a := h.arena()
+		body, _, err := a.build(h, es[i])
+		if err == nil {
+			cycles[i], err = h.mach.SteadyStateCycles(body, h.opts.WarmupIters, h.opts.MeasureIters)
+		}
+		errs[i] = err
+		h.arenas.Put(a)
+	}); err != nil {
+		return nil, err
+	}
+	if err := firstError(errs); err != nil {
+		return nil, err
+	}
+
+	for _, i := range misses {
+		sharedSimCache.Put(keys[i], math.Float64bits(cycles[i]))
+	}
+	h.record(hits, len(misses), warmHits)
+	perInstance := make([]float64, len(es))
+	for i := range es {
+		perInstance[i] = cycles[src[i]] / float64(instances[i])
+	}
+	return perInstance, nil
+}
+
+// firstError returns the error of the lowest-indexed failed experiment
+// of a batch, naming the experiment, or nil.
+func firstError(errs []error) error {
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("experiment %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // Measurements returns the number of Measure calls so far.

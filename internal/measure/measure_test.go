@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -403,9 +404,10 @@ func TestEmitCX86(t *testing.T) {
 		"gettimeofday(&start, NULL);",
 		"gettimeofday(&end, NULL);",
 		"__asm__ volatile(",
-		"add %r", // an x86 add on a GPR
-		"(%r15)", // memory operand via base pointer
-		"3.4",    // frequency in the throughput formula
+		"add %%r",        // an x86 add on GPRs, % escaped in the template
+		"(%%r15), %%r",   // the load reads memory via the base pointer into a GPR
+		`"cc", "memory"`, // the body clobbers the flags and memory
+		"3.4",            // frequency in the throughput formula
 		"for (long i = 0; i < loop_bound; i++)",
 	} {
 		if !strings.Contains(prog, want) {
@@ -453,6 +455,95 @@ func TestRenderAsmVariants(t *testing.T) {
 	s2 := RenderAsm("x86-64", in2)
 	if !strings.Contains(s2, "$") {
 		t.Errorf("immediate should render with $: %q", s2)
+	}
+}
+
+// TestRenderAsmOperandOrder: x86 renders in AT&T order, sources first,
+// so a load lists its memory operand first and a store last; A64 keeps
+// the forms' destination-first order.
+func TestRenderAsmOperandOrder(t *testing.T) {
+	x86 := isa.SyntheticX86()
+	alloc, _ := NewAllocator(DefaultPoolSizes(x86))
+	render := func(a *isa.ISA, name string) string {
+		t.Helper()
+		f, ok := a.FormByName(name)
+		if !ok {
+			t.Fatalf("%s missing", name)
+		}
+		in, err := alloc.Instantiate(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return RenderAsm(a.Name, in)
+	}
+	if s := render(x86, "mov_r64_m64"); !strings.HasPrefix(s, "mov 0(%r15), %r") {
+		t.Errorf("x86 load renders as %q, want its memory operand first", s)
+	}
+	if s := render(x86, "mov_m64_r64"); !strings.HasPrefix(s, "mov %r") || !strings.HasSuffix(s, "(%r15)") {
+		t.Errorf("x86 store renders as %q, want its memory operand last", s)
+	}
+	if s := render(x86, "shl_r32_i8"); !strings.HasPrefix(s, "shl $2, %e") {
+		t.Errorf("x86 shift renders as %q, want the immediate first and a 32-bit register", s)
+	}
+	arm := isa.SyntheticARM()
+	alloc, _ = NewAllocator(DefaultPoolSizes(arm))
+	if s := render(arm, "ldr_r64_m64"); !strings.HasPrefix(s, "ldr x") || !strings.HasSuffix(s, "[x28, #0]") {
+		t.Errorf("A64 load renders as %q, want the destination first", s)
+	}
+}
+
+// x86CompileSubstitutes picks a real instruction for the operand
+// signatures whose first form only approximates one (the synthetic ISA
+// has movzx r64, r32 and a two-operand vcvtsi2sd); x86Unassemblable
+// lists the signatures with no form that assembles, because the
+// synthetic vpinsrd and vpinsrq drop their lane immediate.
+var (
+	x86CompileSubstitutes = map[string]string{
+		"r64_r32":  "movsxd_r64_r32",
+		"v128_r64": "vmovq_v128_r64",
+	}
+	x86Unassemblable = map[string]bool{"v128_v128_r32": true, "v128_v128_r64": true}
+)
+
+// TestEmitCCompiles compiles the emitted program of one experiment per
+// x86 operand signature on SKL and ZEN with the system C compiler,
+// which must accept the inline assembly: % escaped in the extended-asm
+// template, AT&T operand order and register names of the operands'
+// widths. It skips where no cc is installed.
+func TestEmitCCompiles(t *testing.T) {
+	cc, err := exec.LookPath("cc")
+	if err != nil {
+		t.Skip("no C compiler")
+	}
+	obj := filepath.Join(t.TempDir(), "prog.o")
+	for _, proc := range []*uarch.Processor{uarch.SKL(), uarch.ZEN()} {
+		h, err := NewHarness(proc, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for i := 0; i < proc.ISA.NumForms(); i++ {
+			f := proc.ISA.Form(i)
+			sig := strings.TrimPrefix(f.Name(), f.Mnemonic+"_")
+			if seen[sig] || x86Unassemblable[sig] {
+				continue
+			}
+			seen[sig] = true
+			if name, ok := x86CompileSubstitutes[sig]; ok {
+				if f, ok = proc.ISA.FormByName(name); !ok {
+					t.Fatalf("%s missing", name)
+				}
+			}
+			prog, err := h.EmitProgram(portmap.Experiment{{Inst: f.ID, Count: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmd := exec.Command(cc, "-O2", "-c", "-x", "c", "-o", obj, "-")
+			cmd.Stdin = strings.NewReader(prog)
+			if out, err := cmd.CombinedOutput(); err != nil {
+				t.Errorf("%s %s: %v\n%s", proc.Name, f.Name(), err, out)
+			}
+		}
 	}
 }
 
@@ -513,6 +604,8 @@ func TestMeasureAllKernelCacheBitExact(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Seed = 42
 
+	FlushSimCache()
+	defer FlushSimCache()
 	cached, err := NewHarness(proc, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -559,11 +652,13 @@ func TestMeasureAllKernelCacheBitExact(t *testing.T) {
 	if st.SimHits+st.SimMisses != int64(len(es)) {
 		t.Errorf("hits+misses = %d, want %d simulations", st.SimHits+st.SimMisses, len(es))
 	}
+	// On the flushed cache the first batch simulates each distinct body
+	// exactly once, however its experiments were scheduled.
+	if distinct := distinctKeys(t, cached, es); st.SimMisses != int64(distinct) {
+		t.Errorf("first batch missed %d times for %d distinct bodies", st.SimMisses, distinct)
+	}
 	// Re-measuring the same batch must be served from the cache (every
 	// key was inserted by the first batch; nothing else writes between).
-	// The first batch's own hit count is NOT asserted: concurrent
-	// simulations of aliased bodies can race, both missing before either
-	// inserts.
 	again, err := cached.MeasureAll(context.Background(), es)
 	if err != nil {
 		t.Fatal(err)

@@ -243,9 +243,29 @@ func (s CacheStats) Sub(o CacheStats) CacheStats {
 	}
 }
 
+// record adds kernel-cache traffic to the harness and process counters.
+func (h *Harness) record(hits, misses, warmHits int) {
+	h.simHits.Add(int64(hits))
+	h.simMisses.Add(int64(misses))
+	h.simWarmHits.Add(int64(warmHits))
+	procSimHits.Add(int64(hits))
+	procSimMisses.Add(int64(misses))
+	procSimWarmHits.Add(int64(warmHits))
+}
+
+// isWarm reports whether key was seeded from disk by LoadSimCache.
+func isWarm(key uint64) bool {
+	warm := warmSimKeys.Load()
+	if warm == nil {
+		return false
+	}
+	_, ok := (*warm)[key]
+	return ok
+}
+
 // steadyState returns the noiseless steady-state cycles per iteration of
 // a loop body, through the shared kernel cache unless disabled. Safe for
-// concurrent use (MeasureAll fans simulations out over all cores).
+// concurrent use.
 func (h *Harness) steadyState(body []machine.Inst) (float64, error) {
 	if h.opts.DisableSimCache {
 		// The disabled path is the pre-cache cost model exactly: no key
@@ -255,14 +275,11 @@ func (h *Harness) steadyState(body []machine.Inst) (float64, error) {
 	}
 	key := simKey(h.mach, h.opts.WarmupIters, h.opts.MeasureIters, body)
 	if v, ok := sharedSimCache.Get(key); ok {
-		h.simHits.Add(1)
-		procSimHits.Add(1)
-		if warm := warmSimKeys.Load(); warm != nil {
-			if _, ok := (*warm)[key]; ok {
-				h.simWarmHits.Add(1)
-				procSimWarmHits.Add(1)
-			}
+		warm := 0
+		if isWarm(key) {
+			warm = 1
 		}
+		h.record(1, 0, warm)
 		return math.Float64frombits(v), nil
 	}
 	v, err := h.mach.SteadyStateCycles(body, h.opts.WarmupIters, h.opts.MeasureIters)
@@ -270,7 +287,6 @@ func (h *Harness) steadyState(body []machine.Inst) (float64, error) {
 		return 0, err
 	}
 	sharedSimCache.Put(key, math.Float64bits(v))
-	h.simMisses.Add(1)
-	procSimMisses.Add(1)
+	h.record(0, 1, 0)
 	return v, nil
 }

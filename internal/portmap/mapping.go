@@ -1,7 +1,9 @@
 package portmap
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -166,23 +168,12 @@ func (m *Mapping) InsertUopAt(inst, j int, uc UopCount) {
 	m.cacheFingerprint(inst)
 }
 
-// canonSortCutoff bounds the decomposition size up to which
-// canonicalization sorts a copy in place and merges adjacent runs;
-// decompositions are small (≤ |P| distinct µops in practice), so the
-// map-based path is the rare fallback. Both paths produce the identical
-// canonical form (sorted by port set, merged, positive counts).
-const canonSortCutoff = 24
-
+// canonicalizeUops returns the canonical form of a decomposition in a
+// fresh slice, never nil: µops sorted by port set, duplicates merged and
+// non-positive totals dropped.
 func canonicalizeUops(uops []UopCount) []UopCount {
-	if len(uops) > canonSortCutoff {
-		return canonicalizeUopsMap(uops)
-	}
 	out := append(make([]UopCount, 0, len(uops)), uops...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Ports < out[j-1].Ports; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b UopCount) int { return cmp.Compare(a.Ports, b.Ports) })
 	w := 0
 	for r := 0; r < len(out); {
 		ports := out[r].Ports
@@ -196,21 +187,6 @@ func canonicalizeUops(uops []UopCount) []UopCount {
 		}
 	}
 	return out[:w]
-}
-
-func canonicalizeUopsMap(uops []UopCount) []UopCount {
-	merged := make(map[PortSet]int, len(uops))
-	for _, uc := range uops {
-		merged[uc.Ports] += uc.Count
-	}
-	out := make([]UopCount, 0, len(merged))
-	for ports, count := range merged {
-		if count > 0 {
-			out = append(out, UopCount{Ports: ports, Count: count})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Ports < out[j].Ports })
-	return out
 }
 
 // Validate checks structural invariants: every instruction has a

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -55,23 +57,60 @@ func TestMappingValidate(t *testing.T) {
 	}
 }
 
+// TestSetDecompCanonicalizes: SetDecomp stores the unique canonical
+// form of a decomposition — sorted by port set, duplicates merged,
+// non-positive totals dropped — checked against a map-based reference,
+// including decompositions longer than any real instruction's.
 func TestSetDecompCanonicalizes(t *testing.T) {
-	m := NewMapping(1, 4)
-	m.SetDecomp(0, []UopCount{
-		{MakePortSet(1, 2), 1},
-		{MakePortSet(0), 2},
-		{MakePortSet(1, 2), 3}, // merged with first
-		{MakePortSet(3), 0},    // dropped
-	})
-	d := m.Decomp[0]
-	if len(d) != 2 {
-		t.Fatalf("decomp has %d entries, want 2: %v", len(d), d)
+	// reference merges by port set in a map and sorts the survivors.
+	reference := func(uops []UopCount) []UopCount {
+		merged := map[PortSet]int{}
+		for _, uc := range uops {
+			merged[uc.Ports] += uc.Count
+		}
+		out := []UopCount{}
+		for ports, count := range merged {
+			if count > 0 {
+				out = append(out, UopCount{Ports: ports, Count: count})
+			}
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].Ports < out[j].Ports })
+		return out
 	}
-	if d[0].Ports != MakePortSet(0) || d[0].Count != 2 {
-		t.Errorf("d[0] = %v", d[0])
+	// long has 40 entries over 7 port sets, in descending order, with
+	// zero and negative counts; one port set's total is zero and
+	// another's negative.
+	var long []UopCount
+	for i := 39; i >= 0; i-- {
+		long = append(long, UopCount{Ports: PortSet(1 + i%7), Count: i%5 - 1})
 	}
-	if d[1].Ports != MakePortSet(1, 2) || d[1].Count != 4 {
-		t.Errorf("d[1] = %v", d[1])
+	long = append(long, UopCount{MakePortSet(5), 3}, UopCount{MakePortSet(5), -3}, UopCount{MakePortSet(6), -1})
+	cases := []struct {
+		name string
+		uops []UopCount
+		want []UopCount
+	}{
+		{"empty", nil, []UopCount{}},
+		{"merge-and-drop", []UopCount{
+			{MakePortSet(1, 2), 1},
+			{MakePortSet(0), 2},
+			{MakePortSet(1, 2), 3}, // merged with first
+			{MakePortSet(3), 0},    // dropped
+		}, []UopCount{{MakePortSet(0), 2}, {MakePortSet(1, 2), 4}}},
+		{"long", long, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want := c.want
+			if want == nil {
+				want = reference(c.uops)
+			}
+			m := NewMapping(1, 8)
+			m.SetDecomp(0, c.uops)
+			if got := m.Decomp[0]; got == nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("SetDecomp(%v) = %#v, want %#v", c.uops, got, want)
+			}
+		})
 	}
 }
 
