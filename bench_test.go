@@ -250,6 +250,63 @@ func BenchmarkBottleneckTables(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildUnitTable measures unit-table building on
+// decompositions shaped like an inference run's builds: at the port
+// counts of A72, SKL and ZEN (7, 9, 10), 8.7 µops per decomposition on
+// average, four in five of them over 3–6 ports. These take the
+// superset-enumeration path. Dense_07 builds the table of every
+// non-empty port set of 7 ports, for which BuildUnitTable falls back to
+// the zeta transform.
+func BenchmarkBuildUnitTable(b *testing.B) {
+	for _, ports := range []int{7, 9, 10} {
+		work := fitnessDecomps(ports)
+		b.Run(benchName("Fitness", ports), func(b *testing.B) {
+			b.ReportAllocs()
+			var t throughput.UnitTable
+			for i := 0; b.Loop(); i++ {
+				throughput.BuildUnitTable(&t, work[i%len(work)], ports)
+			}
+		})
+	}
+	var dense []portmap.UopCount
+	for q := portmap.PortSet(1); q <= portmap.FullPortSet(7); q++ {
+		dense = append(dense, portmap.UopCount{Ports: q, Count: 1})
+	}
+	b.Run(benchName("Dense", 7), func(b *testing.B) {
+		b.ReportAllocs()
+		var t throughput.UnitTable
+		for b.Loop() {
+			throughput.BuildUnitTable(&t, dense, 7)
+		}
+	})
+}
+
+// fitnessDecomps draws decompositions of 8 or 9 µops (8.7 on average)
+// over the given port count, four in five of the µops on 3–6 ports and
+// the rest on 1 to all ports.
+func fitnessDecomps(ports int) [][]portmap.UopCount {
+	rng := rand.New(rand.NewSource(int64(ports)))
+	work := make([][]portmap.UopCount, 64)
+	for i := range work {
+		n := 8
+		if rng.Intn(10) < 7 {
+			n = 9
+		}
+		for ; n > 0; n-- {
+			width := 3 + rng.Intn(4)
+			if rng.Intn(5) == 0 {
+				width = 1 + rng.Intn(ports)
+			}
+			var p portmap.PortSet
+			for _, port := range rng.Perm(ports)[:width] {
+				p = p.With(port)
+			}
+			work[i] = append(work[i], portmap.UopCount{Ports: p, Count: 1 + rng.Intn(3)})
+		}
+	}
+	return work
+}
+
 // pairTableWorkload returns the pair and weighted-pair experiments that
 // exp.PairExperiments derives from a hidden mapping's individual
 // throughputs, as table parts over a bloated candidate mapping: every

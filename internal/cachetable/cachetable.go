@@ -1,6 +1,7 @@
 // Package cachetable provides the bounded, lock-free cache table behind
 // the measurement layer's kernel-simulation cache: a fixed-size array
-// of independently atomic slots, direct-mapped by key.
+// of independently atomic slots, grouped into buckets of four adjacent
+// slots, with each key confined to one bucket.
 //
 // Each slot packs (key, value) into two atomic words with the
 // transposition-table XOR trick: the tag word stores key ^ value, so a
@@ -9,18 +10,19 @@
 // false hit requires two concurrently written keys with colliding
 // tag/value XORs — the same ~2^-64 regime as a fingerprint collision.
 //
-// The table is a cache, not a map: colliding keys overwrite each other
-// (bounded memory, no eviction bookkeeping), and a lost entry only
-// costs a recomputation. Callers must never use key 0 (an empty slot
-// would read as a hit for it); hash constructions here map 0 to 1.
+// The table is a cache, not a map: up to four keys that share a bucket
+// coexist, and a fifth overwrites one of them (bounded memory, no
+// eviction bookkeeping). A lost entry only costs a recomputation.
+// Callers must never use key 0 (an empty slot would read as a hit for
+// it); hash constructions here map 0 to 1.
 package cachetable
 
 import "sync/atomic"
 
-// Table is the direct-mapped cache. Values are raw 64-bit words;
-// callers storing floats convert with math.Float64bits/Float64frombits.
+// Table is the bucketed cache. Values are raw 64-bit words; callers
+// storing floats convert with math.Float64bits/Float64frombits.
 type Table struct {
-	mask    uint64
+	mask    uint64 // bucket count - 1
 	entries []entry
 }
 
@@ -28,6 +30,12 @@ type entry struct {
 	tag atomic.Uint64 // key ^ val
 	val atomic.Uint64
 }
+
+// A key may occupy any of the bucketSlots adjacent slots of its bucket.
+const (
+	bucketBits  = 2
+	bucketSlots = 1 << bucketBits
+)
 
 // MinEntries and MaxEntries bound the slot count of every table. The
 // floor keeps degenerate requests (0, negative) from building a 1-slot
@@ -54,22 +62,50 @@ func New(entries int) *Table {
 	for size < entries {
 		size <<= 1
 	}
-	return &Table{mask: uint64(size - 1), entries: make([]entry, size)}
+	return &Table{mask: uint64(size/bucketSlots - 1), entries: make([]entry, size)}
+}
+
+// bucket returns the slots key may occupy.
+func (t *Table) bucket(key uint64) []entry {
+	b := (key & t.mask) * bucketSlots
+	return t.entries[b : b+bucketSlots]
 }
 
 // Get returns the value stored for key, if present.
 func (t *Table) Get(key uint64) (uint64, bool) {
-	e := &t.entries[key&t.mask]
-	v := e.val.Load()
-	if e.tag.Load() != key^v {
-		return 0, false
+	bkt := t.bucket(key)
+	for i := range bkt {
+		e := &bkt[i]
+		v := e.val.Load()
+		if e.tag.Load() == key^v {
+			return v, true
+		}
 	}
-	return v, true
+	return 0, false
 }
 
-// Put stores the value for key, overwriting whatever shared the slot.
+// Put stores the value for key in its bucket: in the slot that already
+// holds key, else in an empty slot, else over the slot the key's top
+// bits choose.
 func (t *Table) Put(key, val uint64) {
-	e := &t.entries[key&t.mask]
+	bkt := t.bucket(key)
+	slot := -1
+	for i := range bkt {
+		e := &bkt[i]
+		v := e.val.Load()
+		tag := e.tag.Load()
+		if tag == key^v {
+			slot = i
+			break
+		}
+		if slot < 0 && tag == 0 && v == 0 {
+			slot = i
+		}
+	}
+	if slot < 0 {
+		slot = int(key >> (64 - bucketBits))
+	}
+	e := &bkt[slot]
 	e.tag.Store(key ^ val)
 	e.val.Store(val)
 }
@@ -101,7 +137,7 @@ type Entry struct {
 // between benchmark phases), never concurrently with writers. As
 // defense in depth — not a concurrency guarantee — slots whose tag
 // changes mid-read or whose reconstructed key does not map back to the
-// slot it was read from (every genuine entry's key does; a fabricated
+// bucket it was read from (every genuine entry's key does; a fabricated
 // tag^val almost surely does not) are dropped.
 func (t *Table) Snapshot() []Entry {
 	var out []Entry
@@ -116,16 +152,16 @@ func (t *Table) Snapshot() []Entry {
 		if key == 0 {
 			continue // empty slot (valid keys are never 0)
 		}
-		if key&t.mask != uint64(i) {
-			continue // torn or corrupt slot: a real entry lives where its key maps
+		if key&t.mask != uint64(i/bucketSlots) {
+			continue // torn or corrupt slot: a real entry lives in its key's bucket
 		}
 		out = append(out, Entry{Key: key, Val: val})
 	}
 	return out
 }
 
-// LoadEntries stores every entry into the table with the usual
-// overwrite-on-collision semantics and returns the number stored.
+// LoadEntries stores every entry into the table as Put does and returns
+// the number stored.
 // Entries with key 0 are skipped (an empty slot would read as a hit for
 // key 0, so valid tables never contain it).
 func (t *Table) LoadEntries(entries []Entry) int {

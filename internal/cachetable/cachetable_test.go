@@ -44,18 +44,50 @@ func TestGetPutClear(t *testing.T) {
 	if v, ok := tab.Get(42); !ok || v != 99 {
 		t.Fatalf("Get(42) = %v, %v; want 99, true", v, ok)
 	}
-	// Colliding key (same slot) overwrites.
-	collide := 42 + uint64(len(tab.entries))
-	tab.Put(collide, 7)
-	if _, ok := tab.Get(42); ok {
-		t.Fatal("overwritten key still hit")
-	}
-	if v, ok := tab.Get(collide); !ok || v != 7 {
-		t.Fatalf("Get(collide) = %v, %v; want 7, true", v, ok)
+	tab.Put(42, 5) // a second Put of a key replaces its value in place
+	if v, ok := tab.Get(42); !ok || v != 5 {
+		t.Fatalf("Get(42) = %v, %v; want 5, true", v, ok)
 	}
 	tab.Clear()
-	if _, ok := tab.Get(collide); ok {
+	if _, ok := tab.Get(42); ok {
 		t.Fatal("cleared table reported a hit")
+	}
+}
+
+// TestBucketHoldsFourKeys is the regression test for colliding kernel
+// keys evicting each other: keys a table-size apart share a bucket, so
+// four of them must all read back, and a fifth must evict exactly one.
+func TestBucketHoldsFourKeys(t *testing.T) {
+	tab := New(MinEntries)
+	stride := uint64(len(tab.entries))
+	keys := []uint64{42, 42 + stride, 42 + 2*stride, 42 + 3*stride}
+	for i, k := range keys {
+		tab.Put(k, uint64(100+i))
+	}
+	for i, k := range keys {
+		if v, ok := tab.Get(k); !ok || v != uint64(100+i) {
+			t.Fatalf("key %d of 4 in one bucket: Get = %v, %v; want %d, true", i, v, ok, 100+i)
+		}
+	}
+	fifth := 42 + 4*stride
+	tab.Put(fifth, 7)
+	if v, ok := tab.Get(fifth); !ok || v != 7 {
+		t.Fatalf("fifth key: Get = %v, %v; want 7, true", v, ok)
+	}
+	kept := 0
+	for i, k := range keys {
+		if v, ok := tab.Get(k); ok {
+			if v != uint64(100+i) {
+				t.Fatalf("key %d reads %d, want %d", i, v, 100+i)
+			}
+			kept++
+		}
+	}
+	if kept != 3 {
+		t.Fatalf("a fifth key in a full bucket left %d of the 4 keys, want 3", kept)
+	}
+	if n := len(tab.Snapshot()); n != 4 {
+		t.Fatalf("snapshot holds %d entries, want 4", n)
 	}
 }
 

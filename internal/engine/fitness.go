@@ -122,9 +122,10 @@ type Service struct {
 // with their per-cardinality maxima, and pre-flattened unit mass terms —
 // keyed by decomposition fingerprint, so they are (re)built only when an
 // instruction's decomposition actually differs from the one last seen by
-// this worker. Experiments sharing an instruction reuse them within a
-// candidate, and candidates sharing decompositions reuse them across the
-// batch.
+// this worker. A full evaluation checks every table once per candidate
+// and then reads the tables directly; candidates sharing decompositions
+// reuse them across the batch. The delta path checks the tables of
+// every experiment it re-predicts (see predictOne).
 type evalScratch struct {
 	ev throughput.Evaluator
 
@@ -155,6 +156,8 @@ func (sc *evalScratch) ensure(numInsts, numPorts int) {
 
 // tableFor returns instruction inst's unit table under m, rebuilding it
 // only if the cached table was built from a different decomposition.
+// davgFast calls it once per referenced instruction and candidate;
+// predictOne calls it per experiment term.
 func (sc *evalScratch) tableFor(m *portmap.Mapping, inst int) *throughput.UnitTable {
 	t := &sc.tables[inst]
 	if fp := m.Fingerprint(inst); sc.tblFp[inst] != fp {
@@ -288,13 +291,17 @@ func (s *Service) checkCandidates(ms []*portmap.Mapping, out []Fitness) error {
 // sc or, for port universes wider than throughput.MaxUnitTablePorts, one
 // BottleneckParts call over the pre-flattened unit terms. sc must have
 // been ensured for m. Both routes are bit-identical to ThroughputOf.
+//
+// predictOne checks the fingerprint of every table it reads, which the
+// delta path needs: after a rejected probe the mapping reverts but the
+// scratch still holds the probe's table, so a later probe on another
+// instruction may share an experiment with the stale one.
 func (s *Service) predictOne(sc *evalScratch, m *portmap.Mapping, i int) float64 {
 	if m.NumPorts <= throughput.MaxUnitTablePorts {
-		sc.tparts = sc.tparts[:0]
 		for _, t := range s.experiment(i) {
-			sc.tparts = append(sc.tparts, throughput.TablePart{Unit: sc.tableFor(m, t.Inst), Scale: float64(t.Count)})
+			sc.tableFor(m, t.Inst)
 		}
-		return sc.ev.BottleneckTables(sc.tparts, m.NumPorts)
+		return s.predictTables(sc, m.NumPorts, i)
 	}
 	sc.parts = sc.parts[:0]
 	for _, t := range s.experiment(i) {
@@ -303,13 +310,40 @@ func (s *Service) predictOne(sc *evalScratch, m *portmap.Mapping, i int) float64
 	return sc.ev.BottleneckParts(sc.parts)
 }
 
+// predictTables predicts experiment i with one BottleneckTables call
+// over sc's unit tables at k ports, which must be current for every
+// instruction the experiment references.
+func (s *Service) predictTables(sc *evalScratch, k, i int) float64 {
+	sc.tparts = sc.tparts[:0]
+	for _, t := range s.experiment(i) {
+		sc.tparts = append(sc.tparts, throughput.TablePart{Unit: &sc.tables[t.Inst], Scale: float64(t.Count)})
+	}
+	return sc.ev.BottleneckTables(sc.tparts, k)
+}
+
 // davgFast computes Davg(m) on the fast path, optionally capturing the
 // per-experiment predictions into preds (len(preds) == NumExperiments).
+// On the table route it brings every referenced instruction's table up
+// to date first, one fingerprint check each, so the experiment loop
+// reads the tables unchecked.
 func (s *Service) davgFast(sc *evalScratch, m *portmap.Mapping, preds []float64) float64 {
 	sc.ensure(s.numInsts, m.NumPorts)
+	tables := m.NumPorts <= throughput.MaxUnitTablePorts
+	if tables {
+		for inst, exps := range s.instExps {
+			if len(exps) > 0 {
+				sc.tableFor(m, inst)
+			}
+		}
+	}
 	sum := 0.0
 	for i, meas := range s.meas {
-		pred := s.predictOne(sc, m, i)
+		var pred float64
+		if tables {
+			pred = s.predictTables(sc, m.NumPorts, i)
+		} else {
+			pred = s.predictOne(sc, m, i)
+		}
 		if preds != nil {
 			preds[i] = pred
 		}

@@ -43,9 +43,9 @@ func TestMeasureBenchWarmStartRoundTrip(t *testing.T) {
 	if warm.Fast.SimWarmHits == 0 {
 		t.Error("warm run reported no disk-warm hits")
 	}
-	// The direct-mapped table drops slot-colliding keys, so the spill is
-	// not a complete kernel set — but the warm start must eliminate the
-	// bulk of the cold run's simulations.
+	// A bucket holds four keys and a fifth evicts one, so the spill need
+	// not be a complete kernel set — but the warm start must eliminate
+	// the bulk of the cold run's simulations.
 	if warm.Fast.SimMisses*10 >= cold.Fast.SimMisses {
 		t.Errorf("warm run misses %d not well below cold misses %d",
 			warm.Fast.SimMisses, cold.Fast.SimMisses)

@@ -37,13 +37,16 @@ import (
 // every key also versions disk-loaded entries: a cache file from a
 // different simulator configuration simply never hits. Storage is the
 // bounded XOR-tagged atomic table of internal/cachetable, whose only
-// client is this package. This is the harness's only cache: a miss
+// client is this package: each key may occupy any slot of its
+// four-slot bucket, so keys that share a bucket do not evict each other
+// until a fifth arrives. This is the harness's only cache: a miss
 // calls Machine.SteadyStateCycles directly, and a tool's -cache-dir
 // holds one spill file (SimCachePath).
 
 // simCacheEntries bounds the shared cache: 2^16 slots × 16 bytes = 1 MiB,
 // comfortably above the distinct-kernel count of a full Table 1
-// evaluation sweep.
+// evaluation sweep. The table lives for the whole process, so a larger
+// one would raise every run's peak heap.
 const simCacheEntries = 1 << 16
 
 // simCacheContentKey tags the on-disk spill ("pmevosim"). The entries'

@@ -16,12 +16,22 @@ import (
 //
 //	S[Q] = Σ_i s_i · T_i[Q],  T_i[Q] = Σ{n | (i,n,u) ∈ N, u ⊆ Q}
 //
-// so a caller evaluating many experiments over one mapping can zeta-
-// transform each instruction once and reduce every experiment to the
+// so a caller evaluating many experiments over one mapping can build
+// each instruction's table once and reduce every experiment to the
 // max-ratio search over scaled table sums — no per-experiment flatten,
 // merge, or transform. This is the engine fitness service's fast path:
 // §4.1 experiments touch 1–2 instructions each, while each instruction
 // occurs in O(#instructions) experiments.
+//
+// BuildUnitTable adds each µop's count to every superset of its port
+// set P directly, 2^(k−|P|) additions per µop. A fitness decomposition
+// holds a few µops over 3–6 of its k ports, so this is roughly a tenth
+// of the zeta transform's k·2^(k−1) additions. The choice is made per
+// decomposition: when the enumeration would cost more than the
+// transform (many narrow µops, such as every non-empty port set),
+// BuildUnitTable scatters the counts and runs zetaTransform instead.
+// Both orders give the same table, because every entry is an integer
+// sum below 2^53 and thus exact under any association.
 //
 // The search is a branch-and-bound over cardinality classes instead of
 // a scan of all 2^k subsets. Every S[Q] with |Q| = c is at most
@@ -37,17 +47,28 @@ import (
 // most S[U]/c. A single instruction attains its bound in every class,
 // so single-instruction experiments cost O(k) without any scan.
 //
-// Bit-exactness: experiment counts and µop counts are integers, so every
-// table entry, scaled sum, and bound is exact integer arithmetic in
-// float64 (far below 2^53) under any association. Correctly rounded
-// division is monotone, so S[Q] ≤ B[c] gives fl(S[Q]/c) ≤ fl(B[c]/c):
-// a pruned class can never hold a strictly larger ratio, and the
-// maximum found is the same float a full scan finds. Subsets reaching
-// outside U are dominated duplicates (S[Q] = S[Q∩U] with |Q| larger), so
-// scanning whole classes of the k-port universe changes nothing either.
-// The equivalence with ThroughputOf and BottleneckNaive is
-// property-tested and fuzzed. Callers with non-integral masses or
-// scales must use the per-experiment entry points instead.
+// Before it divides anything, the kernel tests the seed exactly: if
+// B[c]·|U| ≤ S[U]·c for every class c < |U|, no class can beat the
+// seed and the result is S[U]/|U|. Most multi-part calls of an
+// inference run end here, at n−1 multiplications and compares.
+//
+// Bit-exactness: experiment counts and µop counts are non-negative
+// integers, so every table entry, scaled sum, and bound is exact
+// integer arithmetic in float64 under any association while it stays
+// below 2^53. The seed test's products B[c]·|U| and S[U]·c are at most
+// S[U]·k (B[c] ≤ S[U]), so they are exact while S[U]·k < 2^53, and the
+// test then decides B[c]/c ≤ S[U]/|U| exactly. Correctly rounded
+// division is monotone, so an exact B[c]/c ≤ S[U]/|U| gives
+// fl(B[c]/c) ≤ fl(S[U]/|U|): a class the test rules out is one the
+// division-based loop would not visit either, and S[Q] ≤ B[c] gives
+// fl(S[Q]/c) ≤ fl(B[c]/c), so a pruned class can never hold a strictly
+// larger ratio, and the maximum found is the same float a full scan
+// finds. Subsets reaching outside U are dominated duplicates (S[Q] =
+// S[Q∩U] with |Q| larger), so scanning whole classes of the k-port
+// universe changes nothing either. The equivalence with ThroughputOf,
+// BottleneckNaive and the LP is property-tested and fuzzed. Callers
+// with non-integral masses or scales must use the per-experiment entry
+// points instead.
 
 // MaxUnitTablePorts bounds the port count of unit tables: a table holds
 // 2^k entries per instruction, and the kernel's subset index is built
@@ -82,11 +103,28 @@ type TablePart struct {
 // BuildUnitTable fills t with the subset-sum table of the
 // decomposition's unit masses over ports 0..k-1 and its per-cardinality
 // maxima, reusing t.Sums' storage when it is large enough. Every µop's
-// port set must lie within 0..k-1.
+// port set must lie within 0..k-1, and counts are non-negative.
 func BuildUnitTable(t *UnitTable, uops []portmap.UopCount, k int) {
 	if k > MaxUnitTablePorts {
 		panic(fmt.Sprintf("throughput: %d ports exceed the %d-port unit table limit", k, MaxUnitTablePorts))
 	}
+	// Superset enumeration costs 2^(k−|P|) additions per µop, the zeta
+	// transform k·2^(k−1) in all.
+	zeta, adds := k*(1<<uint(k))/2, 0
+	for _, uc := range uops {
+		if uc.Count != 0 && !uc.Ports.IsEmpty() {
+			if adds += 1 << uint(k-uc.Ports.Count()); adds > zeta {
+				break
+			}
+		}
+	}
+	buildUnitTable(t, uops, k, adds <= zeta)
+}
+
+// buildUnitTable is BuildUnitTable with the summation order chosen by
+// the caller: superset enumeration per µop, or a scatter followed by the
+// zeta transform. Both give the same table.
+func buildUnitTable(t *UnitTable, uops []portmap.UopCount, k int, enumerate bool) {
 	size := 1 << uint(k)
 	if cap(t.Sums) < size {
 		t.Sums = make([]float64, size)
@@ -103,19 +141,29 @@ func BuildUnitTable(t *UnitTable, uops []portmap.UopCount, k int) {
 			continue
 		}
 		t.Used |= uc.Ports
-		sums[uc.Ports] += float64(uc.Count)
+		n, p := float64(uc.Count), uint(uc.Ports)
+		if !enumerate {
+			sums[p] += n
+			continue
+		}
+		for q := p; q < uint(len(sums)); q = (q + 1) | p {
+			sums[q] += n
+		}
 	}
-	zetaTransform(sums, k)
+	if !enumerate {
+		zetaTransform(sums, k)
+	}
+	// The entries are non-negative, and for non-negative floats the
+	// order of their bit patterns is the float order: the uint64 compare
+	// compiles to a conditional move instead of a mispredicted branch.
 	t.Max = [MaxUnitTablePorts + 1]float64{}
 	idx := &subsetIndex[k]
 	for c := 0; c <= k; c++ {
-		m := 0.0
+		var m uint64
 		for _, q := range idx.class(c) {
-			if v := sums[q]; v > m {
-				m = v
-			}
+			m = max(m, math.Float64bits(sums[q]))
 		}
-		t.Max[c] = m
+		t.Max[c] = math.Float64frombits(m)
 	}
 }
 
@@ -143,22 +191,34 @@ func (ev *Evaluator) BottleneckTables(parts []TablePart, k int) float64 {
 		return 0
 	}
 
-	// bound[c] bounds the ratios of class c; classes c ≥ n are bounded
-	// by the seed, the ratio of the used union itself (its sum is the
-	// total mass, Max[k]).
+	// bound[c] bounds the sums of class c; classes c ≥ n are bounded by
+	// the seed, the ratio of the used union itself (its sum is the total
+	// mass, Max[k]). A class can beat the seed only if bound[c]·n >
+	// total·c, an exact test; when no class passes, the common case, the
+	// seed is the result and nothing is divided.
+	total := 0.0
+	for _, p := range live {
+		total += p.Scale * p.Unit.Max[k]
+	}
 	var bound [MaxUnitTablePorts + 1]float64
+	beats := false
 	for c := 1; c < n; c++ {
 		b := 0.0
 		for _, p := range live {
 			b += p.Scale * p.Unit.Max[c]
 		}
-		bound[c] = b / float64(c)
-	}
-	total := 0.0
-	for _, p := range live {
-		total += p.Scale * p.Unit.Max[k]
+		bound[c] = b
+		if b*float64(n) > total*float64(c) {
+			beats = true
+		}
 	}
 	best := total / float64(n)
+	if !beats {
+		return best
+	}
+	for c := 1; c < n; c++ {
+		bound[c] /= float64(c)
+	}
 
 	// Visit the class with the largest bound above best until none is
 	// left; a visited class's bound is cleared.

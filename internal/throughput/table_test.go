@@ -23,8 +23,9 @@ func unitTables(dst []UnitTable, m *portmap.Mapping, k int) []UnitTable {
 }
 
 // checkTables asserts that BottleneckTables over e's parts is bit for
-// bit ThroughputOf and BottleneckNaive on the same experiment.
-func checkTables(t *testing.T, ev *Evaluator, tables []UnitTable, m *portmap.Mapping, e portmap.Experiment, k int) {
+// bit ThroughputOf and BottleneckNaive on the same experiment, and
+// returns that throughput.
+func checkTables(t *testing.T, ev *Evaluator, tables []UnitTable, m *portmap.Mapping, e portmap.Experiment, k int) float64 {
 	t.Helper()
 	parts := make([]TablePart, len(e))
 	for i, term := range e {
@@ -38,6 +39,7 @@ func checkTables(t *testing.T, ev *Evaluator, tables []UnitTable, m *portmap.Map
 		t.Fatalf("k=%d exp %v: BottleneckTables %v, ThroughputOf %v, BottleneckNaive %v\nmapping:\n%s",
 			k, e, got, want, naive, m)
 	}
+	return got
 }
 
 // bloated samples a mapping whose instructions all carry k distinct µops
@@ -230,6 +232,60 @@ func TestUnitTableMaxima(t *testing.T) {
 	}
 }
 
+// TestUnitTableBuildPaths pins the two summation orders of
+// BuildUnitTable against each other: superset enumeration per µop and
+// the scatter-plus-zeta fallback must give bit-identical sums, maxima,
+// used-port unions and Inf flags. The inputs cover sparse and bloated
+// decompositions, every non-empty port set (the dense input for which
+// BuildUnitTable picks the fallback), repeated port sets, zero counts
+// and a µop on an empty port set, with both tables' storage reused
+// across port counts.
+func TestUnitTableBuildPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var enum, zeta, auto UnitTable
+	check := func(name string, uops []portmap.UopCount, k int) {
+		t.Helper()
+		buildUnitTable(&enum, uops, k, true)
+		buildUnitTable(&zeta, uops, k, false)
+		BuildUnitTable(&auto, uops, k)
+		for _, u := range []*UnitTable{&enum, &auto} {
+			if len(u.Sums) != len(zeta.Sums) || len(u.Sums) != 1<<uint(k) {
+				t.Fatalf("k=%d %s: tables of %d and %d entries", k, name, len(u.Sums), len(zeta.Sums))
+			}
+			for q := range u.Sums {
+				if math.Float64bits(u.Sums[q]) != math.Float64bits(zeta.Sums[q]) {
+					t.Fatalf("k=%d %s: Sums[%#b] = %v, zeta fallback %v\nµops %v", k, name, q, u.Sums[q], zeta.Sums[q], uops)
+				}
+			}
+			if u.Max != zeta.Max || u.Used != zeta.Used || u.Inf != zeta.Inf {
+				t.Fatalf("k=%d %s: (Max, Used, Inf) = (%v, %v, %v), zeta fallback (%v, %v, %v)",
+					k, name, u.Max, u.Used, u.Inf, zeta.Max, zeta.Used, zeta.Inf)
+			}
+		}
+	}
+	for _, k := range []int{11, 4, 9, 1, 7} {
+		full := portmap.FullPortSet(k)
+		sparse := make([]portmap.UopCount, 1+rng.Intn(3))
+		for i := range sparse {
+			sparse[i] = portmap.UopCount{Ports: portmap.RandomPortSet(rng, k), Count: 1 + rng.Intn(4)}
+		}
+		check("sparse", sparse, k)
+		check("bloated", bloated(rng, 1, k, []float64{2}).Decomp[0], k)
+
+		var dense []portmap.UopCount
+		for q := portmap.PortSet(1); q <= full; q++ {
+			dense = append(dense, portmap.UopCount{Ports: q, Count: 1 + int(q)%3})
+		}
+		check("every-port-set", dense, k)
+
+		p, r := portmap.RandomPortSet(rng, k), portmap.RandomPortSet(rng, k)
+		check("repeated-sets", []portmap.UopCount{{Ports: p, Count: 2}, {Ports: r, Count: 1}, {Ports: p, Count: 3}, {Ports: p, Count: 1}}, k)
+		check("zero-counts", []portmap.UopCount{{Ports: p, Count: 0}, {Ports: r, Count: 2}, {Ports: full, Count: 0}}, k)
+		check("empty-port-set", []portmap.UopCount{{Ports: r, Count: 1}, {Ports: 0, Count: 2}, {Ports: p, Count: 1}}, k)
+		check("no-uops", nil, k)
+	}
+}
+
 // TestBuildUnitTablePanicsAboveLimit pins the documented port limit.
 func TestBuildUnitTablePanicsAboveLimit(t *testing.T) {
 	defer func() {
@@ -242,11 +298,14 @@ func TestBuildUnitTablePanicsAboveLimit(t *testing.T) {
 }
 
 // FuzzBottleneckTables differentially fuzzes the kernel against
-// ThroughputOf and BottleneckNaive. The input decodes into a mapping
-// over k = 1 + kSel%11 ports with one instruction per part: each part
-// is a scale byte (mod 8, so zero scales occur), a µop-count byte
-// (mod k+1), and per µop two port-mask bytes (cut to k ports, so empty
-// sets occur) and a count byte (mod 5, so zero counts occur).
+// ThroughputOf and BottleneckNaive, bit for bit, and against the LP
+// engine within 1e-9 relative error where the throughput is finite and
+// positive. The input decodes into a mapping over k = 1 + kSel%11 ports
+// with one instruction per part: each part is a scale byte (mod 8, so
+// zero scales occur), a µop-count byte (mod 2k+2, so k+1 single-port
+// µops, enough to make BuildUnitTable fall back to the zeta transform,
+// fit), and per µop two port-mask bytes (cut to k ports, so empty sets
+// occur) and a count byte (mod 5, so zero counts occur).
 func FuzzBottleneckTables(f *testing.F) {
 	f.Add(uint8(9), []byte{1, 2, 0x0f, 0x00, 2, 0xf0, 0x03, 1, 3, 1, 0x21, 0x00, 4})
 	f.Fuzz(func(t *testing.T, kSel uint8, data []byte) {
@@ -254,7 +313,7 @@ func FuzzBottleneckTables(f *testing.F) {
 		var uops [][]portmap.UopCount
 		var e portmap.Experiment
 		for len(data) >= 2 && len(uops) < 6 {
-			scale, n := int(data[0]%8), int(data[1])%(k+1)
+			scale, n := int(data[0]%8), int(data[1])%(2*k+2)
 			data = data[2:]
 			var d []portmap.UopCount
 			for ; n > 0 && len(data) >= 3; n-- {
@@ -268,6 +327,16 @@ func FuzzBottleneckTables(f *testing.F) {
 		m := portmap.NewMapping(len(uops), k)
 		copy(m.Decomp, uops)
 		var ev Evaluator
-		checkTables(t, &ev, unitTables(nil, m, k), m, e, k)
+		got := checkTables(t, &ev, unitTables(nil, m, k), m, e, k)
+		if math.IsInf(got, 0) || got <= 0 {
+			return
+		}
+		lp, err := OfExperimentLP(m, e)
+		if err != nil {
+			t.Fatalf("k=%d exp %v: LP failed (%v) where the kernel gives %v", k, e, err, got)
+		}
+		if math.Abs(lp-got) > 1e-9*got {
+			t.Fatalf("k=%d exp %v: kernel %v, LP %v\nmapping:\n%s", k, e, got, lp, m)
+		}
 	})
 }

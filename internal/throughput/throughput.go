@@ -23,20 +23,25 @@
 //
 // The fitness service evaluates experiments through BottleneckTables,
 // a bound-and-prune kernel over per-instruction subset-sum tables
-// (table.go). BuildUnitTable zeta-transforms each instruction once and
+// (table.go). BuildUnitTable builds each instruction's table once, by
+// adding every µop's count to the supersets of its port set, or by the
+// zeta transform when that is cheaper for the decomposition, and
 // records the table's maximum in every cardinality class; an
-// experiment's sums are then scaled table sums, and the kernel scans a
-// class of equal-size subsets only if the scaled class maxima, divided
-// by the class size, still beat the best ratio found so far. Most
-// classes are pruned, and a single instruction needs no scan at all.
-// The kernel is exact, not approximate: fitness masses and scales are
-// integers, so every sum and bound is exact in float64, and correctly
-// rounded division is monotone, so a pruned class cannot hold a larger
-// ratio. Its result is bit-identical to ThroughputOf.
+// experiment's sums are then scaled table sums. The kernel first tests
+// exactly, without dividing, whether any class's scaled maxima can beat
+// the ratio of the used ports; usually none can, and that ratio is the
+// result. Otherwise it scans a class of equal-size subsets only if its
+// bound, divided by the class size, still beats the best ratio found so
+// far, and a single instruction needs no scan at all. The kernel is
+// exact, not approximate: fitness masses and scales are non-negative
+// integers, so every sum, bound and seed-test product is exact in
+// float64 while the total mass times the port count stays below 2^53,
+// and correctly rounded division is monotone, so a pruned class cannot
+// hold a larger ratio. Its result is bit-identical to ThroughputOf.
 //
 // All engines agree exactly (up to floating-point association); this is
 // property-tested against each other and against the LP, and the table
-// kernel is also fuzzed against BottleneckNaive.
+// kernel is also fuzzed against BottleneckNaive and the LP.
 package throughput
 
 import (
