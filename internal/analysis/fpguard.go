@@ -9,20 +9,21 @@ import (
 // fpguard is the compile-time complement to the pmevodebug runtime
 // panic: outside internal/portmap, the decomposition state of a
 // portmap.Mapping must only change through the fingerprint-maintaining
-// mutators (SetDecomp, SetUopCount, RemoveUopAt, InsertUopAt, AddUop).
-// A direct write to m.Decomp leaves the cached per-instruction
-// fingerprints stale, which silently poisons everything keyed by them
-// downstream: the engine's unit tables and evo's duplicate skip.
+// mutators (SetDecomp, SetDecompMerged, SetUopCount, RemoveUopAt,
+// InsertUopAt, AddUop). A direct write to m.Decomp leaves the cached
+// per-instruction fingerprints stale, which silently poisons everything
+// keyed by them downstream: the engine's unit tables and evo's duplicate
+// skip.
 type fpguard struct{}
 
 func (*fpguard) Name() string { return "fpguard" }
 
 func (*fpguard) Doc() string {
 	return "outside internal/portmap, Mapping.Decomp must not be written directly; " +
-		"use SetDecomp/SetUopCount/RemoveUopAt/InsertUopAt/AddUop so decomposition fingerprints stay fresh"
+		"use SetDecomp/SetDecompMerged/SetUopCount/RemoveUopAt/InsertUopAt/AddUop so decomposition fingerprints stay fresh"
 }
 
-const fpguardAdvice = "mutate through SetDecomp/SetUopCount/RemoveUopAt/InsertUopAt/AddUop so the fingerprint cache stays fresh"
+const fpguardAdvice = "mutate through SetDecomp/SetDecompMerged/SetUopCount/RemoveUopAt/InsertUopAt/AddUop so the fingerprint cache stays fresh"
 
 func (*fpguard) Run(m *Module, r Reporter) {
 	for _, p := range m.Packages {

@@ -123,9 +123,12 @@ type Service struct {
 // keyed by decomposition fingerprint, so they are (re)built only when an
 // instruction's decomposition actually differs from the one last seen by
 // this worker. A full evaluation checks every table once per candidate
-// and then reads the tables directly; candidates sharing decompositions
-// reuse them across the batch. The delta path checks the tables of
-// every experiment it re-predicts (see predictOne).
+// and then reads the tables directly, so a table built for a candidate
+// serves every experiment naming its instruction. Across the candidates
+// of a batch the check almost never hits: recombination makes nearly
+// every child decomposition new. The tables pay off on the delta path,
+// where a probe changes one instruction and every other table stays; it
+// checks the tables of every experiment it re-predicts (see predictOne).
 type evalScratch struct {
 	ev throughput.Evaluator
 

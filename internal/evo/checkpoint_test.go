@@ -249,6 +249,74 @@ func TestResumeBudgetExtension(t *testing.T) {
 	sameTrajectory(t, "budget extension", resumed, full)
 }
 
+// FuzzResumeMatchesUninterrupted is the resume contract's differential
+// twin on the hiddenMapping set. It fuzzes the seed, 1-3 islands, a
+// population of 4-12, the migration interval (off, the default or 1-3)
+// and the generation whose barrier cancels the run. The run canceled from
+// OnGeneration, resumed from its checkpoint, must end with the
+// uninterrupted run's Best, BestError bits, BestVolume, Generations and
+// history. A mapping that a checkpoint or a migration still references
+// when a later generation recycles it would show here.
+func FuzzResumeMatchesUninterrupted(f *testing.F) {
+	set := measuredSet(f, hiddenMapping())
+	f.Add(int64(11), uint8(0), uint8(8), uint8(0), uint8(4))
+	f.Add(int64(11), uint8(2), uint8(8), uint8(3), uint8(2))
+	f.Add(int64(5), uint8(1), uint8(5), uint8(2), uint8(1))
+	f.Add(int64(3), uint8(2), uint8(0), uint8(0), uint8(6))
+	f.Add(int64(7), uint8(2), uint8(3), uint8(1), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, islands, pop, interval, stop uint8) {
+		opts := Options{
+			PopulationSize:    4 + int(pop%9),
+			MaxGenerations:    8,
+			NumPorts:          3,
+			LocalSearch:       true,
+			VolumeObjective:   true,
+			Seed:              seed,
+			Workers:           2,
+			Islands:           1 + int(islands%3),
+			MigrationInterval: int(interval%5) - 1,
+		}
+		full, err := Run(context.Background(), set, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		iopts := opts
+		iopts.CheckpointDir = t.TempDir()
+		ctx, hook := cancelAt(1 + int(stop)%opts.MaxGenerations)
+		iopts.OnGeneration = hook
+		if _, err := Run(ctx, set, iopts); err != nil && !errors.Is(err, ErrCanceled) {
+			t.Fatalf("interrupted run: %v", err)
+		}
+
+		ropts := opts
+		ropts.CheckpointDir = iopts.CheckpointDir
+		ropts.Resume = true
+		var logs []string
+		ropts.Log = func(f string, a ...any) { logs = append(logs, fmt.Sprintf(f, a...)) }
+		resumed, err := Run(context.Background(), set, ropts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !containsLog(logs, "restored checkpoint") {
+			t.Fatalf("resume did not restore the checkpoint:\n%s", strings.Join(logs, "\n"))
+		}
+		if got, want := mappingJSON(t, resumed.Best), mappingJSON(t, full.Best); !bytes.Equal(got, want) {
+			t.Errorf("Best differs:\n%s\nvs uninterrupted\n%s", got, want)
+		}
+		if math.Float64bits(resumed.BestError) != math.Float64bits(full.BestError) {
+			t.Errorf("BestError %v != %v", resumed.BestError, full.BestError)
+		}
+		if resumed.BestVolume != full.BestVolume || resumed.Generations != full.Generations {
+			t.Errorf("(BestVolume, Generations) = (%d, %d), want (%d, %d)",
+				resumed.BestVolume, resumed.Generations, full.BestVolume, full.Generations)
+		}
+		if got, want := historyDigest(resumed.History), historyDigest(full.History); got != want {
+			t.Errorf("history digest %#x != %#x", got, want)
+		}
+	})
+}
+
 // TestResumeMissingCheckpointColdStarts: Resume against an empty
 // directory must log a diagnostic and produce the cold-start result —
 // never fail the run.

@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"pmevo/internal/engine"
@@ -469,9 +470,10 @@ type island struct {
 	idx        int
 	rng        *rand.Rand
 	src        *countingSource
-	pop        []individual              // sorted best-first after every generation
+	pop        []individual              // sorted best-first after every generation; the discarded follow past len
 	seen       map[uint64]engine.Fitness // duplicate skip: fingerprint -> fitness, primed with the parents each generation
 	be         batchEvaluator
+	sc         genScratch
 	history    []GenStats
 	gens       int
 	draws      uint64 // RNG draw count at the last generation boundary
@@ -480,6 +482,24 @@ type island struct {
 	inited     bool
 	converged  bool
 	err        error
+}
+
+// genScratch is an island's storage for the generation step, reused
+// across generations so that, once it has grown, the island's own part
+// of a step allocates nothing: recombination's splits and the dropped
+// child of an odd population, the duplicate skip's buffers and
+// selection's sort keys.
+type genScratch struct {
+	a1, a2, b1, b2 []portmap.UopCount // one instruction of parents a and b, split between children 1 and 2
+	spare          individual         // takes the last pair's second child when p is odd
+
+	fps     []uint64 // each candidate's whole-mapping fingerprint
+	batch   map[uint64]struct{}
+	uniq    []*portmap.Mapping // the candidates sent to the evaluator
+	uniqFPs []uint64
+	fits    []engine.Fitness
+
+	byKey popByKey
 }
 
 // alive reports whether the island still has evolution budget.
@@ -497,12 +517,21 @@ func (isl *island) alive(maxGens int) bool {
 // isl.gens/isl.draws always describe a fully evaluated, sorted
 // population, so an interrupted island checkpoints and resumes exactly
 // like one that hit its barrier.
+//
+// The children are built in the slots past the p survivors, isl.pop[p:2p],
+// into the mappings the previous selection discarded there; only the
+// first generation, and the first after a resume, allocate them. A
+// mapping may be held outside its slot only by a survivor's slot,
+// Result.Best (taken after the last generation) and a checkpoint
+// snapshot (encoded before the next generation starts), so a discarded
+// mapping is free to overwrite. Migration replaces survivors with
+// clones, and the replaced mappings are dropped, not recycled.
 func (isl *island) evolve(ctx context.Context, set *exp.Set, opts Options, dedupe bool) {
 	if isl.err != nil {
 		return
 	}
 	if !isl.inited {
-		if err := evaluate(ctx, isl.be, isl.pop, isl.seen, dedupe); err != nil {
+		if err := isl.evaluate(ctx, isl.pop, dedupe); err != nil {
 			isl.err = err
 			return
 		}
@@ -518,18 +547,24 @@ func (isl *island) evolve(ctx context.Context, set *exp.Set, opts Options, dedup
 		}
 		gen := isl.gens
 
-		children := make([]individual, 0, p)
-		for len(children) < p {
-			a := isl.pop[isl.rng.Intn(len(isl.pop))].m
-			b := isl.pop[isl.rng.Intn(len(isl.pop))].m
-			c1, c2 := recombine(isl.rng, a, b, set.Individual)
+		if debugRecycle {
+			isl.checkRecycle(gen)
+		}
+		isl.pop = slices.Grow(isl.pop, p)
+		children := isl.pop[p : 2*p]
+		for j := 0; j < p; j += 2 {
+			a := isl.pop[isl.rng.Intn(p)].m
+			b := isl.pop[isl.rng.Intn(p)].m
+			slot2 := &isl.sc.spare // an odd p still draws the last pair's second child
+			if j+1 < p {
+				slot2 = &children[j+1]
+			}
+			c1 := reuseChild(&children[j], set.NumInsts, opts.NumPorts)
+			c2 := reuseChild(slot2, set.NumInsts, opts.NumPorts)
+			recombine(isl.rng, a, b, c1, c2, &isl.sc)
 			if opts.MutationRate > 0 {
 				mutate(isl.rng, c1, opts, set.Individual)
 				mutate(isl.rng, c2, opts, set.Individual)
-			}
-			children = append(children, individual{m: c1})
-			if len(children) < p {
-				children = append(children, individual{m: c2})
 			}
 		}
 		if dedupe {
@@ -538,15 +573,15 @@ func (isl *island) evolve(ctx context.Context, set *exp.Set, opts Options, dedup
 				isl.seen[isl.pop[i].m.FingerprintAll()] = engine.Fitness{Davg: isl.pop[i].davg, Volume: isl.pop[i].volume}
 			}
 		}
-		if err := evaluate(ctx, isl.be, children, isl.seen, dedupe); err != nil {
+		if err := isl.evaluate(ctx, children, dedupe); err != nil {
 			// Interrupted mid-batch: the aborted generation's children
 			// are discarded and the island state stays at the last
 			// boundary (gens/draws untouched). Real errors propagate.
 			isl.err = err
 			return
 		}
-		isl.pop = append(isl.pop, children...)
-		selectBest(isl.pop, p, opts.VolumeObjective, opts.AccuracyWeight)
+		isl.pop = isl.pop[:2*p]
+		selectBest(&isl.sc.byKey, isl.pop, opts.VolumeObjective, opts.AccuracyWeight)
 		isl.pop = isl.pop[:p]
 
 		best := isl.pop[0]
@@ -560,6 +595,37 @@ func (isl *island) evolve(ctx context.Context, set *exp.Set, opts Options, dedup
 		isl.draws = isl.src.n
 		if converged(isl.pop, opts.ConvergenceEps) {
 			isl.converged = true
+		}
+	}
+}
+
+// reuseChild empties the individual in slot for a child and returns its
+// mapping to write the child into: the mapping a discarded individual
+// left there, or a new one. Names are dropped, since a discarded seed
+// mapping carries its own and a child has none.
+func reuseChild(slot *individual, numInsts, numPorts int) *portmap.Mapping {
+	m := slot.m
+	if m == nil {
+		m = portmap.NewMapping(numInsts, numPorts)
+	}
+	m.InstNames, m.PortNames = nil, nil
+	*slot = individual{m: m}
+	return m
+}
+
+// checkRecycle is the pmevodebug guard on recycling: it panics if a
+// mapping in the slots the next children overwrite is still held by a
+// survivor.
+func (isl *island) checkRecycle(gen int) {
+	p := len(isl.pop)
+	for _, old := range isl.pop[p:min(cap(isl.pop), 2*p)] {
+		if old.m == nil {
+			continue
+		}
+		for _, s := range isl.pop {
+			if s.m == old.m {
+				panic(fmt.Sprintf("evo: island %d, generation %d: a mapping about to be recycled as a child is held by a survivor", isl.idx, gen))
+			}
 		}
 	}
 }
@@ -596,6 +662,7 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 			rng:  rng,
 			src:  src,
 			seen: make(map[uint64]engine.Fitness),
+			sc:   genScratch{batch: make(map[uint64]struct{})},
 			//pmevo:allow serialhandle -- each island is owned by exactly one worker goroutine per generation (see runIslands); the handle never crosses islands
 			be: svc.NewBatchEvaluator(),
 		}
@@ -618,18 +685,20 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 			isl.converged = st.converged
 			isl.src.skip(st.draws)
 			isl.draws = st.draws
-			if isl.inited && !isl.converged && converged(isl.pop, opts.ConvergenceEps) {
-				isl.converged = true
-			}
 		}
 		restoredEpoch = true
 	} else {
 		// Seed mappings are distributed round-robin; each island fills the
-		// rest of its population from its own stream.
+		// rest of its population from its own stream. Recombination
+		// merges canonical decompositions, so a seed enters canonical.
 		for i, sm := range opts.SeedMappings {
 			isl := isls[i%len(isls)]
 			if len(isl.pop) < plan.sizes[isl.idx] {
-				isl.pop = append(isl.pop, individual{m: sm.Clone()})
+				m := sm.Clone()
+				for inst, d := range m.Decomp {
+					m.SetDecomp(inst, d)
+				}
+				isl.pop = append(isl.pop, individual{m: m})
 			}
 		}
 		for k, isl := range isls {
@@ -690,7 +759,7 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 			return individual{}
 		}
 		if len(isls) > 1 {
-			selectBest(combined, len(combined), opts.VolumeObjective, opts.AccuracyWeight)
+			selectBest(&popByKey{}, combined, opts.VolumeObjective, opts.AccuracyWeight)
 		}
 		return combined[0]
 	}
@@ -852,59 +921,59 @@ type batchEvaluator interface {
 	EvaluateAll(ctx context.Context, ms []*portmap.Mapping, out []engine.Fitness) error
 }
 
-// evaluate fills in the objectives of all individuals through the given
-// batch evaluator. With dedupe enabled, structurally equal candidates —
-// detected by whole-mapping fingerprint, within the batch and against
-// the caller-primed seen map — are evaluated once and the fitness
-// copied (bit-identical: equal mappings have equal fitness). Newly
-// computed fitnesses are added to seen.
+// evaluate fills in the objectives of all individuals through the
+// island's batch evaluator. With dedupe enabled, structurally equal
+// candidates — detected by whole-mapping fingerprint, within the batch
+// and against the caller-primed seen map — are evaluated once and the
+// fitness copied (bit-identical: equal mappings have equal fitness).
+// Newly computed fitnesses are added to seen. The buffers live in the
+// island's scratch.
 //
 // An interrupted EvaluateAll leaves the batch partially filled; the
 // error propagates and no individual is updated, so the caller's
 // population stays consistent (the aborted batch is simply discarded).
-func evaluate(ctx context.Context, be batchEvaluator, inds []individual, seen map[uint64]engine.Fitness, dedupe bool) error {
+func (isl *island) evaluate(ctx context.Context, inds []individual, dedupe bool) error {
+	sc := &isl.sc
+	sc.uniq = sc.uniq[:0]
 	if !dedupe {
-		ms := make([]*portmap.Mapping, len(inds))
 		for i := range inds {
-			ms[i] = inds[i].m
+			sc.uniq = append(sc.uniq, inds[i].m)
 		}
-		fits := make([]engine.Fitness, len(inds))
-		if err := be.EvaluateAll(ctx, ms, fits); err != nil {
+		sc.fits = slices.Grow(sc.fits[:0], len(inds))[:len(inds)]
+		if err := isl.be.EvaluateAll(ctx, sc.uniq, sc.fits); err != nil {
 			return err
 		}
 		for i := range inds {
-			inds[i].davg = fits[i].Davg
-			inds[i].volume = fits[i].Volume
+			inds[i].davg = sc.fits[i].Davg
+			inds[i].volume = sc.fits[i].Volume
 		}
 		return nil
 	}
 
-	fps := make([]uint64, len(inds))
-	batch := make(map[uint64]struct{}, len(inds))
-	uniq := make([]*portmap.Mapping, 0, len(inds))
-	uniqFPs := make([]uint64, 0, len(inds))
+	sc.fps, sc.uniqFPs = sc.fps[:0], sc.uniqFPs[:0]
+	clear(sc.batch)
 	for i := range inds {
 		fp := inds[i].m.FingerprintAll()
-		fps[i] = fp
-		if _, ok := seen[fp]; ok {
+		sc.fps = append(sc.fps, fp)
+		if _, ok := isl.seen[fp]; ok {
 			continue
 		}
-		if _, ok := batch[fp]; ok {
+		if _, ok := sc.batch[fp]; ok {
 			continue
 		}
-		batch[fp] = struct{}{}
-		uniq = append(uniq, inds[i].m)
-		uniqFPs = append(uniqFPs, fp)
+		sc.batch[fp] = struct{}{}
+		sc.uniq = append(sc.uniq, inds[i].m)
+		sc.uniqFPs = append(sc.uniqFPs, fp)
 	}
-	fits := make([]engine.Fitness, len(uniq))
-	if err := be.EvaluateAll(ctx, uniq, fits); err != nil {
+	sc.fits = slices.Grow(sc.fits[:0], len(sc.uniq))[:len(sc.uniq)]
+	if err := isl.be.EvaluateAll(ctx, sc.uniq, sc.fits); err != nil {
 		return err
 	}
-	for k, fp := range uniqFPs {
-		seen[fp] = fits[k]
+	for k, fp := range sc.uniqFPs {
+		isl.seen[fp] = sc.fits[k]
 	}
 	for i := range inds {
-		f := seen[fps[i]]
+		f := isl.seen[sc.fps[i]]
 		inds[i].davg = f.Davg
 		inds[i].volume = f.Volume
 	}
@@ -937,14 +1006,15 @@ func converged(pop []individual, eps float64) bool {
 	return maxD-minD < eps && minV == maxV
 }
 
-// selectBest sorts the population by scalarized fitness F(m) =
+// selectBest sorts the population best-first by scalarized fitness F(m) =
 // w·Λ1(Davg(m)) + Λ2(V(m)) with both objectives affinely normalized to
-// [0, 1000] over the current population (the paper uses w = 1), then
-// truncates to the best p. Ties break deterministically on
+// [0, 1000] over the current population (the paper uses w = 1); the
+// caller keeps the best p. Ties break deterministically on
 // (davg, volume). The scalarized key is computed once per individual —
 // O(n) normalizations — and the stable sort compares keys, so the
 // resulting order is identical to recomputing the key in the comparator.
-func selectBest(pop []individual, p int, volumeObjective bool, accuracyWeight float64) {
+// The keys go into by, whose buffer is reused across calls.
+func selectBest(by *popByKey, pop []individual, volumeObjective bool, accuracyWeight float64) {
 	if accuracyWeight <= 0 {
 		accuracyWeight = 1
 	}
@@ -962,15 +1032,16 @@ func selectBest(pop []individual, p int, volumeObjective bool, accuracyWeight fl
 		}
 		return (v - lo) / (hi - lo) * 1000
 	}
-	keys := make([]float64, len(pop))
+	by.pop = pop
+	by.keys = slices.Grow(by.keys[:0], len(pop))[:len(pop)]
 	for i := range pop {
 		f := accuracyWeight * norm(pop[i].davg, minD, maxD)
 		if volumeObjective {
 			f += norm(float64(pop[i].volume), minV, maxV)
 		}
-		keys[i] = f
+		by.keys[i] = f
 	}
-	sort.Stable(&popByKey{pop: pop, keys: keys})
+	sort.Stable(by)
 }
 
 // popByKey sorts a population and its precomputed scalarized fitness
@@ -997,49 +1068,67 @@ func (s *popByKey) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
-// recombine implements the paper's binary recombination: for each
-// instruction, the µops of both parents (with multiplicities) are
-// divided randomly into two parts that become the children's
-// decompositions. A child that would end up with no µops for an
-// instruction receives one random µop instance from the combined pool.
-func recombine(rng *rand.Rand, a, b *portmap.Mapping, tpHints []float64) (*portmap.Mapping, *portmap.Mapping) {
-	n := a.NumInsts()
-	c1 := portmap.NewMapping(n, a.NumPorts)
-	c2 := portmap.NewMapping(n, a.NumPorts)
-	var pool, d1, d2 []portmap.UopCount
-	for i := 0; i < n; i++ {
-		pool = pool[:0]
-		pool = append(pool, a.Decomp[i]...)
-		pool = append(pool, b.Decomp[i]...)
-
-		d1, d2 = d1[:0], d2[:0]
-		for _, uc := range pool {
-			// Binomial split of the multiplicity between the children.
-			k := 0
-			for j := 0; j < uc.Count; j++ {
-				if rng.Intn(2) == 0 {
-					k++
-				}
-			}
-			if k > 0 {
-				d1 = append(d1, portmap.UopCount{Ports: uc.Ports, Count: k})
-			}
-			if uc.Count-k > 0 {
-				d2 = append(d2, portmap.UopCount{Ports: uc.Ports, Count: uc.Count - k})
-			}
+// recombine implements the paper's binary recombination of parents a
+// and b into children c1 and c2: for each instruction, the µops of both
+// parents (with multiplicities) are divided randomly into two parts that
+// become the children's decompositions. A child that would end up with
+// no µops for an instruction receives one random µop instance from the
+// combined pool.
+//
+// The parents' decompositions are canonical, so splitting each one in
+// turn, a's µops and then b's, draws exactly as a split of the combined
+// pool would and leaves four canonical parts in sc. Each child's
+// decomposition is the merge of its two parts, written into the child's
+// own storage (portmap's SetDecompMerged): the canonical form without a
+// sort or a fresh slice. The children must be distinct mappings, neither
+// of them a parent.
+func recombine(rng *rand.Rand, a, b, c1, c2 *portmap.Mapping, sc *genScratch) {
+	for i := range a.Decomp {
+		da, db := a.Decomp[i], b.Decomp[i]
+		sc.a1, sc.a2 = split(rng, da, sc.a1, sc.a2)
+		sc.b1, sc.b2 = split(rng, db, sc.b1, sc.b2)
+		if len(sc.a1)+len(sc.b1) == 0 {
+			sc.a1 = append(sc.a1, poolUop(rng, da, db))
 		}
-		if len(d1) == 0 {
-			uc := pool[rng.Intn(len(pool))]
-			d1 = append(d1, portmap.UopCount{Ports: uc.Ports, Count: 1})
+		if len(sc.a2)+len(sc.b2) == 0 {
+			sc.a2 = append(sc.a2, poolUop(rng, da, db))
 		}
-		if len(d2) == 0 {
-			uc := pool[rng.Intn(len(pool))]
-			d2 = append(d2, portmap.UopCount{Ports: uc.Ports, Count: 1})
-		}
-		c1.SetDecomp(i, d1)
-		c2.SetDecomp(i, d2)
+		c1.SetDecompMerged(i, sc.a1, sc.b1)
+		c2.SetDecompMerged(i, sc.a2, sc.b2)
 	}
-	return c1, c2
+}
+
+// split divides the multiplicity of every µop in uops binomially between
+// two children, one draw per instance, and returns the children's
+// non-empty parts in d1's and d2's storage. The parts of a canonical
+// decomposition are canonical.
+func split(rng *rand.Rand, uops, d1, d2 []portmap.UopCount) ([]portmap.UopCount, []portmap.UopCount) {
+	d1, d2 = slices.Grow(d1[:0], len(uops)), slices.Grow(d2[:0], len(uops))
+	for _, uc := range uops {
+		k := 0
+		for j := 0; j < uc.Count; j++ {
+			if rng.Intn(2) == 0 {
+				k++
+			}
+		}
+		if k > 0 {
+			d1 = append(d1, portmap.UopCount{Ports: uc.Ports, Count: k})
+		}
+		if uc.Count-k > 0 {
+			d2 = append(d2, portmap.UopCount{Ports: uc.Ports, Count: uc.Count - k})
+		}
+	}
+	return d1, d2
+}
+
+// poolUop returns one instance of a random µop of the combined pool
+// da ++ db.
+func poolUop(rng *rand.Rand, da, db []portmap.UopCount) portmap.UopCount {
+	j := rng.Intn(len(da) + len(db))
+	if j < len(da) {
+		return portmap.UopCount{Ports: da[j].Ports, Count: 1}
+	}
+	return portmap.UopCount{Ports: db[j-len(da)].Ports, Count: 1}
 }
 
 // mutate re-randomizes each instruction's decomposition with probability

@@ -34,7 +34,7 @@ func hiddenMapping() *portmap.Mapping {
 	return m
 }
 
-func measuredSet(t *testing.T, m *portmap.Mapping) *exp.Set {
+func measuredSet(t testing.TB, m *portmap.Mapping) *exp.Set {
 	t.Helper()
 	set, err := exp.GenerateAndMeasure(context.Background(), modelMeasurer{m}, m.NumInsts())
 	if err != nil {
@@ -226,10 +226,12 @@ func TestVolumeObjectiveYieldsCompactMappings(t *testing.T) {
 
 func TestRecombinePreservesInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	var sc genScratch
+	c1, c2 := portmap.NewMapping(6, 4), portmap.NewMapping(6, 4)
 	for trial := 0; trial < 100; trial++ {
 		a := portmap.Random(rng, portmap.RandomOptions{NumInsts: 6, NumPorts: 4})
 		b := portmap.Random(rng, portmap.RandomOptions{NumInsts: 6, NumPorts: 4})
-		c1, c2 := recombine(rng, a, b, nil)
+		recombine(rng, a, b, c1, c2, &sc) // children recycled from the previous trial
 		if err := c1.Validate(); err != nil {
 			t.Fatalf("child1 invalid: %v", err)
 		}
@@ -378,21 +380,21 @@ func TestSelectBestOrdering(t *testing.T) {
 		mk(0.1, 10), // good error, small volume: must win
 		mk(0.3, 20),
 	}
-	selectBest(pop, 2, true, 1)
+	selectBest(&popByKey{}, pop, true, 1)
 	if pop[0].davg != 0.1 || pop[0].volume != 10 {
 		t.Errorf("best = (%g, %d), want (0.1, 10)", pop[0].davg, pop[0].volume)
 	}
 	// Without the volume objective, 0.1/50 and 0.1/10 tie on error and
 	// the tie-break prefers the smaller volume.
 	pop2 := []individual{mk(0.1, 50), mk(0.1, 10)}
-	selectBest(pop2, 1, false, 1)
+	selectBest(&popByKey{}, pop2, false, 1)
 	if pop2[0].volume != 10 {
 		t.Errorf("tie-break failed: volume %d", pop2[0].volume)
 	}
 	// A high accuracy weight outranks compactness: (0.1, 50) must beat
 	// (0.2, 10).
 	pop3 := []individual{mk(0.2, 10), mk(0.1, 50)}
-	selectBest(pop3, 1, true, 100)
+	selectBest(&popByKey{}, pop3, true, 100)
 	if pop3[0].davg != 0.1 {
 		t.Errorf("accuracy weight ignored: best davg = %g", pop3[0].davg)
 	}

@@ -11,12 +11,12 @@ import "fmt"
 // equality.
 //
 // Fingerprints are maintained eagerly by every mutating method of Mapping
-// (SetDecomp, AddUop, SetUopCount, RemoveUopAt, InsertUopAt) and copied by
-// Clone, so reading them (Fingerprint, FingerprintAll) never writes shared
-// state and is safe under concurrent evaluation. Code that writes
-// Mapping.Decomp directly must call InvalidateFingerprints afterwards;
-// mappings built as struct literals need no call (uncached entries are
-// recomputed on demand).
+// (SetDecomp, SetDecompMerged, AddUop, SetUopCount, RemoveUopAt,
+// InsertUopAt) and copied by Clone, so reading them (Fingerprint,
+// FingerprintAll) never writes shared state and is safe under concurrent
+// evaluation. Code that writes Mapping.Decomp directly must call
+// InvalidateFingerprints afterwards; mappings built as struct literals
+// need no call (uncached entries are recomputed on demand).
 
 // fpSeed is the fingerprint chain seed (the golden-ratio constant).
 const fpSeed uint64 = 0x9e3779b97f4a7c15

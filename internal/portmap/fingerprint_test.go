@@ -60,6 +60,15 @@ func TestFingerprintTracksMutations(t *testing.T) {
 			t.Fatal("AddUop on a clone changed the original's fingerprint")
 		}
 
+		other := m.Decomp[(i+1)%6]
+		cp.SetDecompMerged(i, m.Decomp[i], other)
+		check(cp, "SetDecompMerged")
+		want := NewMapping(1, 5)
+		want.SetDecomp(0, append(append([]UopCount(nil), m.Decomp[i]...), other...))
+		if !uopsEqual(cp.Decomp[i], want.Decomp[0]) {
+			t.Fatalf("SetDecompMerged(%v, %v) = %v, want %v", m.Decomp[i], other, cp.Decomp[i], want.Decomp[0])
+		}
+
 		j := rng.Intn(len(cp.Decomp[i]))
 		cp.SetUopCount(i, j, cp.Decomp[i][j].Count+1)
 		check(cp, "SetUopCount")

@@ -127,6 +127,31 @@ func (m *Mapping) SetDecomp(inst int, uops []UopCount) {
 	m.cacheFingerprint(inst)
 }
 
+// SetDecompMerged replaces the decomposition of instruction inst with the
+// merge of x and y, two canonical decompositions (sorted by port set,
+// distinct port sets, positive counts): a port set in both carries the
+// sum of its counts. The result is canonical without a sort, and it is
+// written into the decomposition's existing storage, which grows only
+// when it lacks the capacity, so recombination into a recycled mapping
+// allocates nothing. x and y must not share that storage.
+func (m *Mapping) SetDecompMerged(inst int, x, y []UopCount) {
+	d := slices.Grow(m.Decomp[inst][:0], len(x)+len(y))
+	for len(x) > 0 && len(y) > 0 {
+		switch {
+		case x[0].Ports < y[0].Ports:
+			d, x = append(d, x[0]), x[1:]
+		case y[0].Ports < x[0].Ports:
+			d, y = append(d, y[0]), y[1:]
+		default:
+			d = append(d, UopCount{Ports: x[0].Ports, Count: x[0].Count + y[0].Count})
+			x, y = x[1:], y[1:]
+		}
+	}
+	d = append(append(d, x...), y...)
+	m.Decomp[inst] = d
+	m.cacheFingerprint(inst)
+}
+
 // AddUop adds n instances of µop u to instruction i's decomposition.
 func (m *Mapping) AddUop(inst int, u PortSet, n int) {
 	m.Decomp[inst] = canonicalizeUops(append(m.Decomp[inst], UopCount{Ports: u, Count: n}))
