@@ -548,7 +548,7 @@ func congruencePartition(set *exp.Set) (*exp.Set, error) {
 // simulation cache. BenchmarkMeasurementNoCache is the same workload
 // with both disabled — brute-force cycle-by-cycle simulation of every
 // measurement, the pre-optimization cost model. Results are
-// bit-identical (pinned by eval.RunMeasureBench and the machine/measure
+// bit-identical (pinned by twinbench.Measure and the machine/measure
 // property tests); the pair quantifies the measurement speedup. The form
 // subset keeps two forms per semantic class, preserving the class-level
 // kernel redundancy of Table 1-shaped form sets.

@@ -12,9 +12,14 @@
 // Experiments: table1, table2, table3, table4, figure6, figure7,
 // figure8, engines, fitness, measure, machine, evo, all. Tables 2–4 and
 // Figure 7 share the same inference pipelines and are computed together
-// when any of them is requested. The evo experiment compares the
-// island-model evolution loop against the single-population algorithm
-// at an equal evaluation budget.
+// when any of them is requested.
+//
+// fitness, measure, machine and evo are the twin benchmarks of package
+// twinbench: each times a fast path against its slower twin (evo: the
+// island model against one population at an equal evaluation budget).
+// They print their metrics sorted by name, and -csv writes them as
+// metric,value rows; the other experiments print their table or figure
+// and write its plottable series.
 //
 // -engine selects the throughput engine for the `engines` consistency
 // dump; running it with -engine=lp and -engine=bottleneck must produce
@@ -42,8 +47,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -51,6 +58,7 @@ import (
 	"pmevo/internal/eval"
 	"pmevo/internal/lifecycle"
 	"pmevo/internal/measure"
+	"pmevo/internal/twinbench"
 )
 
 // benchRecord is the schema of a BENCH_*.json file. WallSeconds is the
@@ -174,99 +182,42 @@ func main() {
 		record("engines", *engineFlag, start, map[string]float64{"experiments": float64(len(res.Lines))})
 	}
 
-	if want["fitness"] {
-		progress("running fitness-evaluation benchmark (cached vs uncached)")
-		start := time.Now()
-		res, err := eval.RunFitnessBench(ctx, scale)
-		if err != nil {
-			fatalf("fitness: %v", err)
+	// The twin benchmarks (package twinbench) each return the metrics of
+	// their BENCH record, which are also their output.
+	for _, tb := range []struct {
+		name, what string
+		run        func() (map[string]float64, error)
+	}{
+		{"fitness", "fitness-evaluation benchmark (cached vs uncached)",
+			func() (map[string]float64, error) { return twinbench.Fitness(ctx, scale) }},
+		{"measure", "measurement benchmark (fast path vs brute-force simulation)",
+			func() (map[string]float64, error) { return twinbench.Measure(ctx, scale, *cacheDir) }},
+		{"machine", "simulator-core benchmark (event-driven vs cycle-by-cycle stepping)",
+			func() (map[string]float64, error) { return twinbench.Machine(scale) }},
+		{"evo", "evolution-loop benchmark (island model vs single population)",
+			func() (map[string]float64, error) { return twinbench.Evo(ctx, scale) }},
+	} {
+		if !want[tb.name] {
+			continue
 		}
-		fmt.Println(res.Render())
-		writeCSV(*csvDir, "fitness.csv", res.WriteCSV)
-		record("fitness", "", start, map[string]float64{
-			"evals_per_sec":          res.Cached.EvalsPerSec,
-			"evals_per_sec_uncached": res.Uncached.EvalsPerSec,
-			"speedup":                res.Speedup(),
-			"evaluations":            float64(res.Cached.Evaluations),
-			"delta_evals":            float64(res.Cached.DeltaEvals),
-			"delta_exps_skipped":     float64(res.Cached.DeltaExpsSkipped),
+		progress("running " + tb.what)
+		start := time.Now()
+		metrics, err := tb.run()
+		if err != nil {
+			fatalf("%s: %v", tb.name, err)
+		}
+		var text, csv strings.Builder
+		csv.WriteString("metric,value\n")
+		for _, name := range slices.Sorted(maps.Keys(metrics)) {
+			fmt.Fprintf(&text, "%-28s %g\n", name, metrics[name])
+			fmt.Fprintf(&csv, "%s,%g\n", name, metrics[name])
+		}
+		fmt.Printf("%s\n\n%s\n", tb.name, text.String())
+		writeCSV(*csvDir, tb.name+".csv", func(w io.Writer) error {
+			_, err := io.WriteString(w, csv.String())
+			return err
 		})
-	}
-
-	if want["measure"] {
-		progress("running measurement benchmark (fast path vs brute-force simulation)")
-		start := time.Now()
-		res, err := eval.RunMeasureBench(ctx, scale, *cacheDir)
-		if err != nil {
-			fatalf("measure: %v", err)
-		}
-		fmt.Println(res.Render())
-		writeCSV(*csvDir, "measure.csv", res.WriteCSV)
-		metrics := map[string]float64{"speedup": res.Speedup()}
-		var warmHits float64
-		for _, a := range res.Archs {
-			metrics["seconds_fast_"+a.Arch] = a.Fast.Seconds
-			metrics["seconds_baseline_"+a.Arch] = a.Baseline.Seconds
-			metrics["speedup_"+a.Arch] = a.Speedup()
-			metrics["meas_per_sec_"+a.Arch] = a.Fast.PerSec
-			metrics["sim_hits_"+a.Arch] = float64(a.Fast.SimHits)
-			metrics["sim_misses_"+a.Arch] = float64(a.Fast.SimMisses)
-			metrics["sim_warm_hits_"+a.Arch] = float64(a.Fast.SimWarmHits)
-			metrics["experiments_"+a.Arch] = float64(a.Experiments)
-			warmHits += float64(a.Fast.SimWarmHits)
-		}
-		metrics["sim_warm_hits"] = warmHits
-		record("measure", "", start, metrics)
-	}
-
-	if want["machine"] {
-		progress("running simulator-core benchmark (event-driven vs cycle-by-cycle stepping)")
-		start := time.Now()
-		res, err := eval.RunMachineBench(scale)
-		if err != nil {
-			fatalf("machine: %v", err)
-		}
-		fmt.Println(res.Render())
-		writeCSV(*csvDir, "machine.csv", res.WriteCSV)
-		metrics := map[string]float64{
-			"speedup_latency_min": res.MinSpeedup("latency"),
-			"speedup_divider_min": res.MinSpeedup("divider"),
-			"speedup_dense_min":   res.MinSpeedup("dense"),
-		}
-		for _, a := range res.Archs {
-			for _, k := range a.Kernels {
-				metrics["speedup_"+k.Kernel+"_"+a.Arch] = k.Speedup()
-				metrics["ns_per_iter_"+k.Kernel+"_"+a.Arch] = k.FastNsPerIter
-				metrics["cycles_"+k.Kernel+"_"+a.Arch] = float64(k.Cycles)
-				metrics["skipped_cycles_"+k.Kernel+"_"+a.Arch] = float64(k.SkippedCycles)
-			}
-		}
-		record("machine", "", start, metrics)
-	}
-
-	if want["evo"] {
-		progress("running evolution-loop benchmark (island model vs single population)")
-		start := time.Now()
-		res, err := eval.RunEvoBench(ctx, scale)
-		if err != nil {
-			fatalf("evo: %v", err)
-		}
-		fmt.Println(res.Render())
-		writeCSV(*csvDir, "evo.csv", res.WriteCSV)
-		record("evo", "", start, map[string]float64{
-			"speedup":               res.Speedup(),
-			"islands":               float64(res.Islands),
-			"seconds_single":        res.Single.Seconds,
-			"seconds_islands":       res.Island.Seconds,
-			"evaluations_single":    float64(res.Single.Evaluations),
-			"evaluations_islands":   float64(res.Island.Evaluations),
-			"evals_per_sec_single":  res.Single.EvalsPerSec,
-			"evals_per_sec_islands": res.Island.EvalsPerSec,
-			"generations_single":    float64(res.Single.Generations),
-			"generations_islands":   float64(res.Island.Generations),
-			"best_error_single":     res.Single.BestError,
-			"best_error_islands":    res.Island.BestError,
-		})
+		record(tb.name, "", start, metrics)
 	}
 
 	if want["figure6"] {

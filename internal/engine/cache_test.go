@@ -14,7 +14,7 @@ import (
 
 // twinPorts are the port counts the oracle-twin tests run at: 4 and 11
 // take the unit-table route (11 is throughput.MaxUnitTablePorts), 12 the
-// BottleneckParts route.
+// ThroughputOf route.
 var twinPorts = []int{4, throughput.MaxUnitTablePorts, throughput.MaxUnitTablePorts + 1}
 
 // newOracleTwins builds two services over the same measured set: the
@@ -42,7 +42,7 @@ func sameFitness(a, b Fitness) bool {
 // TestMemoizedDavgBitIdentical is the central fast-path property: every
 // entry point — Evaluate, EvaluateAll, a BatchEvaluator and NewState —
 // predicts through per-worker unit tables memoized by decomposition
-// fingerprint (or, above throughput.MaxUnitTablePorts, unit terms), and
+// fingerprint (or, above throughput.MaxUnitTablePorts, ThroughputOf), and
 // must return a Davg bit-identical to the ThroughputOf oracle twin. The
 // batch holds clones and repeats, which reuse cached tables. It also
 // pins the kernel-call counter: one call per fast-path experiment.

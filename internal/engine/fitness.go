@@ -48,9 +48,10 @@ type CacheStats struct {
 	// because perfbench reads it.
 	MemoHits int64
 	// MemoMisses counts fast-path kernel calls: each count is one
-	// throughput.BottleneckTables or BottleneckParts call, that is, one
-	// experiment predicted on the fast path. The generic Predictor path
-	// is not counted. perfbench reads it as its kernel-call count.
+	// throughput.BottleneckTables call (a ThroughputOf call above
+	// throughput.MaxUnitTablePorts), that is, one experiment predicted
+	// on the fast path. The generic Predictor path is not counted.
+	// perfbench reads it as its kernel-call count.
 	MemoMisses int64
 	// DeltaExperimentsSkipped counts experiments EvaluateDelta did not
 	// have to re-predict because the changed instruction does not occur
@@ -118,17 +119,17 @@ type Service struct {
 }
 
 // evalScratch is one worker's reusable evaluation state: the throughput
-// evaluator plus per-instruction derived data — subset-sum unit tables
-// with their per-cardinality maxima, and pre-flattened unit mass terms —
-// keyed by decomposition fingerprint, so they are (re)built only when an
-// instruction's decomposition actually differs from the one last seen by
-// this worker. A full evaluation checks every table once per candidate
-// and then reads the tables directly, so a table built for a candidate
-// serves every experiment naming its instruction. Across the candidates
-// of a batch the check almost never hits: recombination makes nearly
-// every child decomposition new. The tables pay off on the delta path,
-// where a probe changes one instruction and every other table stays; it
-// checks the tables of every experiment it re-predicts (see predictOne).
+// evaluator plus per-instruction subset-sum unit tables with their
+// per-cardinality maxima, keyed by decomposition fingerprint, so a table
+// is (re)built only when an instruction's decomposition actually differs
+// from the one last seen by this worker. A full evaluation checks every
+// table once per candidate and then reads the tables directly, so a
+// table built for a candidate serves every experiment naming its
+// instruction. Across the candidates of a batch the check almost never
+// hits: recombination makes nearly every child decomposition new. The
+// tables pay off on the delta path, where a probe changes one
+// instruction and every other table stays; it checks the tables of
+// every experiment it re-predicts (see predictOne).
 type evalScratch struct {
 	ev throughput.Evaluator
 
@@ -136,10 +137,6 @@ type evalScratch struct {
 	tblFp  []uint64 // fingerprint each table was built from (0: none)
 	tables []throughput.UnitTable
 	tparts []throughput.TablePart
-
-	unitFp []uint64 // fingerprint each unit-term list was built from
-	unit   [][]portmap.MassTerm
-	parts  []throughput.Part
 }
 
 // ensure sizes the scratch for the instruction count and invalidates the
@@ -148,12 +145,10 @@ func (sc *evalScratch) ensure(numInsts, numPorts int) {
 	if len(sc.tblFp) < numInsts {
 		sc.tblFp = make([]uint64, numInsts)
 		sc.tables = make([]throughput.UnitTable, numInsts)
-		sc.unitFp = make([]uint64, numInsts)
-		sc.unit = make([][]portmap.MassTerm, numInsts)
 	}
 	if sc.k != numPorts {
 		sc.k = numPorts
-		clear(sc.tblFp) // unit terms are port-independent and stay valid
+		clear(sc.tblFp)
 	}
 }
 
@@ -168,23 +163,6 @@ func (sc *evalScratch) tableFor(m *portmap.Mapping, inst int) *throughput.UnitTa
 		sc.tblFp[inst] = fp
 	}
 	return t
-}
-
-// unitFor returns instruction inst's pre-flattened unit mass terms (its
-// µop decomposition with Mass = µop count), rebuilding only on
-// fingerprint change.
-func (sc *evalScratch) unitFor(m *portmap.Mapping, inst int) []portmap.MassTerm {
-	fp := m.Fingerprint(inst)
-	if sc.unitFp[inst] == fp {
-		return sc.unit[inst]
-	}
-	u := sc.unit[inst][:0]
-	for _, uc := range m.Decomp[inst] {
-		u = append(u, portmap.MassTerm{Ports: uc.Ports, Mass: float64(uc.Count)})
-	}
-	sc.unit[inst] = u
-	sc.unitFp[inst] = fp
-	return u
 }
 
 // NewService compiles the measured experiment set into a Service.
@@ -292,25 +270,21 @@ func (s *Service) checkCandidates(ms []*portmap.Mapping, out []Fitness) error {
 // predictOne predicts experiment i under m on the fast path: one
 // BottleneckTables call over the per-instruction subset-sum tables in
 // sc or, for port universes wider than throughput.MaxUnitTablePorts, one
-// BottleneckParts call over the pre-flattened unit terms. sc must have
-// been ensured for m. Both routes are bit-identical to ThroughputOf.
+// ThroughputOf call. sc must have been ensured for m. The table route is
+// bit-identical to ThroughputOf.
 //
 // predictOne checks the fingerprint of every table it reads, which the
 // delta path needs: after a rejected probe the mapping reverts but the
 // scratch still holds the probe's table, so a later probe on another
 // instruction may share an experiment with the stale one.
 func (s *Service) predictOne(sc *evalScratch, m *portmap.Mapping, i int) float64 {
-	if m.NumPorts <= throughput.MaxUnitTablePorts {
-		for _, t := range s.experiment(i) {
-			sc.tableFor(m, t.Inst)
-		}
-		return s.predictTables(sc, m.NumPorts, i)
+	if m.NumPorts > throughput.MaxUnitTablePorts {
+		return sc.ev.ThroughputOf(m, s.experiment(i))
 	}
-	sc.parts = sc.parts[:0]
 	for _, t := range s.experiment(i) {
-		sc.parts = append(sc.parts, throughput.Part{Terms: sc.unitFor(m, t.Inst), Scale: float64(t.Count)})
+		sc.tableFor(m, t.Inst)
 	}
-	return sc.ev.BottleneckParts(sc.parts)
+	return s.predictTables(sc, m.NumPorts, i)
 }
 
 // predictTables predicts experiment i with one BottleneckTables call

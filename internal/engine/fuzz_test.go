@@ -12,7 +12,7 @@ import (
 
 // FuzzEvaluateDelta drives the NewState/EvaluateDelta/Commit protocol on
 // the fast path with a small mapping of 1–13 ports (so both the
-// unit-table and the BottleneckParts route run) and an experiment set,
+// unit-table and the ThroughputOf route run) and an experiment set,
 // both drawn from seed, and a sequence of edits decoded from edits, five
 // bytes each: SetUopCount, RemoveUopAt, InsertUopAt or AddUop, then
 // accept (Commit) or reject (revert). Every pending and every committed

@@ -223,37 +223,3 @@ func TestFigure8ShapesAndCrossCheck(t *testing.T) {
 		t.Errorf("CSV has %d lines", lines)
 	}
 }
-
-// TestMeasureBenchArchBitExact smokes the measurement benchmark driver
-// on the cheapest processor: it must report a positive speedup and —
-// enforced inside the driver — bit-identical measurements between the
-// fast path and the brute-force baseline.
-func TestMeasureBenchArchBitExact(t *testing.T) {
-	row, err := runMeasureBenchArch(context.Background(), "A72", QuickScale(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Experiments == 0 || row.Fast.Measurements != row.Baseline.Measurements {
-		t.Fatalf("bad accounting: %+v", row)
-	}
-	if row.Fast.SimHits == 0 {
-		t.Error("fast path recorded no kernel-cache hits on a class-redundant form set")
-	}
-	if row.Baseline.SimHits != 0 || row.Baseline.SimMisses != 0 {
-		t.Errorf("baseline recorded cache traffic: %+v", row.Baseline)
-	}
-	if row.Speedup() <= 1 {
-		t.Errorf("measurement fast path slower than brute force: %+v", row)
-	}
-	res := &MeasureBenchResult{Archs: []MeasureBenchArch{row}}
-	if out := res.Render(); len(out) == 0 {
-		t.Error("empty render")
-	}
-	var sb strings.Builder
-	if err := res.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "A72,fast") {
-		t.Errorf("CSV missing rows:\n%s", sb.String())
-	}
-}

@@ -55,7 +55,7 @@ func RunFigure6(ctx context.Context, scale Scale) (*Figure6Result, error) {
 			// Length 1: the set of all supported instructions (§5.2).
 			es = exp.Singletons(proc.ISA.NumForms())
 			if scale.MaxFormsPerClass > 0 {
-				_, ids, err := subsetForms(proc.ISA, scale.MaxFormsPerClass)
+				_, ids, err := SubsetForms(proc.ISA, scale.MaxFormsPerClass)
 				if err != nil {
 					return nil, err
 				}

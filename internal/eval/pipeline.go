@@ -53,7 +53,7 @@ func RunPipeline(ctx context.Context, procName string, scale Scale) (*PipelineRu
 	if err != nil {
 		return nil, err
 	}
-	sub, ids, err := subsetForms(proc.ISA, scale.MaxFormsPerClass)
+	sub, ids, err := SubsetForms(proc.ISA, scale.MaxFormsPerClass)
 	if err != nil {
 		return nil, err
 	}

@@ -145,10 +145,10 @@ func (s Scale) Validate() error {
 	return nil
 }
 
-// subsetForms picks a deterministic, class-stratified subset of the
+// SubsetForms picks a deterministic, class-stratified subset of the
 // ISA's forms: up to MaxFormsPerClass per semantic class. It returns the
 // subset ISA and the original form IDs, aligned by new form ID.
-func subsetForms(a *isa.ISA, maxPerClass int) (*isa.ISA, []int, error) {
+func SubsetForms(a *isa.ISA, maxPerClass int) (*isa.ISA, []int, error) {
 	if maxPerClass <= 0 {
 		ids := make([]int, a.NumForms())
 		for i := range ids {

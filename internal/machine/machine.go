@@ -107,7 +107,7 @@ type Config struct {
 	// fast-forwarded run is bit-identical to the stepped run, dead spans
 	// are accounted arithmetically (see run.go) — it exists so the
 	// brute-force twin stays available as the bit-equality oracle and so
-	// eval.RunMachineBench can quantify the fast-forward win.
+	// twinbench.Machine can quantify the fast-forward win.
 	EventDrivenDisabled bool
 }
 

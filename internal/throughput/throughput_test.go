@@ -524,66 +524,6 @@ func BenchmarkMergeTerms(b *testing.B) {
 	})
 }
 
-// TestBottleneckPartsBitIdentical: evaluating an experiment through
-// pre-flattened per-instruction parts (the engine's route above 11 ports) must
-// be bit-identical to ThroughputOf on random mappings and experiments,
-// including wide experiments that cross the indexed-merge cutoff.
-func TestBottleneckPartsBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	var ref, parts Evaluator
-	for trial := 0; trial < 300; trial++ {
-		numInsts := 2 + rng.Intn(30)
-		numPorts := 2 + rng.Intn(9)
-		m := portmap.Random(rng, portmap.RandomOptions{
-			NumInsts: numInsts, NumPorts: numPorts, MaxUops: 1 + rng.Intn(3),
-		})
-		e := portmap.RandomExperiment(rng, numInsts, 1+rng.Intn(12))
-		if rng.Intn(3) == 0 {
-			// Weighted experiments exercise larger scales.
-			for i := range e {
-				e[i].Count = 1 + rng.Intn(6)
-			}
-		}
-
-		// Pre-flatten each instruction's unit terms, as the engine does.
-		ps := make([]Part, len(e))
-		for i, term := range e {
-			unit := make([]portmap.MassTerm, len(m.Decomp[term.Inst]))
-			for j, uc := range m.Decomp[term.Inst] {
-				unit[j] = portmap.MassTerm{Ports: uc.Ports, Mass: float64(uc.Count)}
-			}
-			ps[i] = Part{Terms: unit, Scale: float64(term.Count)}
-		}
-
-		want := ref.ThroughputOf(m, e)
-		got := parts.BottleneckParts(ps)
-		if got != want {
-			t.Fatalf("trial %d: BottleneckParts %v != ThroughputOf %v\nexp %v\nmapping:\n%s",
-				trial, got, want, e, m)
-		}
-	}
-}
-
-// TestBottleneckPartsEdgeCases covers the zero-scale, zero-mass, and
-// empty-port-set paths of the parts merge.
-func TestBottleneckPartsEdgeCases(t *testing.T) {
-	var ev Evaluator
-	unit := []portmap.MassTerm{{Ports: portmap.MakePortSet(0), Mass: 1}}
-	if got := ev.BottleneckParts(nil); got != 0 {
-		t.Errorf("no parts: %v, want 0", got)
-	}
-	if got := ev.BottleneckParts([]Part{{Terms: unit, Scale: 0}}); got != 0 {
-		t.Errorf("zero scale: %v, want 0", got)
-	}
-	bad := []portmap.MassTerm{{Ports: 0, Mass: 2}}
-	if got := ev.BottleneckParts([]Part{{Terms: bad, Scale: 1}}); !math.IsInf(got, 1) {
-		t.Errorf("empty port set with mass: %v, want +Inf", got)
-	}
-	if got := ev.BottleneckParts([]Part{{Terms: unit, Scale: 3}}); got != 3 {
-		t.Errorf("single port, mass 3: %v, want 3", got)
-	}
-}
-
 // TestZetaTransformMatchesPassLoop pins the fused zeta transform bit for
 // bit to the textbook one-pass-per-bit loop on fractional inputs, where
 // any change in the order of additions per entry would show.
