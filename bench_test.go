@@ -348,11 +348,11 @@ func pairTableWorkload(ports int) [][]throughput.TablePart {
 
 // BenchmarkFitnessEvolution measures the population fitness loop at
 // QuickScale: the §4.4 evolutionary loop plus greedy local search over
-// the 12-instruction/8-port ablation set, with the redundancy-exploiting
-// layer (duplicate-candidate skip, delta local search) enabled.
-// BenchmarkFitnessEvolutionNoCache is the same loop with the layer
-// disabled — results are bit-identical (pinned in internal/evo) — so
-// the pair quantifies the caching speedup. Both
+// the 12-instruction/8-port ablation set, with delta local search
+// enabled. BenchmarkFitnessEvolutionNoCache is the same loop with every
+// local-search probe scored by a full evaluation — results are
+// bit-identical (pinned in internal/evo) — so the pair quantifies the
+// delta speedup. Both evaluate every child of every generation and
 // predict every experiment through the same unit-table kernel. The
 // evals/s metric is candidate Davg computations per second.
 

@@ -135,7 +135,7 @@ func checkpointKey(setFingerprint uint64, opts Options, plan islandPlan) uint64 
 	h = portmap.CombineFingerprints(h, setFingerprint)
 	h = portmap.CombineFingerprints(h, uint64(opts.PopulationSize))
 	h = portmap.CombineFingerprints(h, uint64(opts.NumPorts))
-	h = portmap.CombineFingerprints(h, uint64(opts.MaxUopsPerInst))
+	h = portmap.CombineFingerprints(h, 0) // the retired MaxUopsPerInst option, always 0; kept so older checkpoints still resume
 	h = portmap.CombineFingerprints(h, math.Float64bits(opts.MutationRate))
 	h = portmap.CombineFingerprints(h, boolBit(opts.VolumeObjective))
 	h = portmap.CombineFingerprints(h, math.Float64bits(opts.AccuracyWeight))

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"pmevo/internal/cachestore"
+	"pmevo/internal/engine"
 	"pmevo/internal/exp"
 	"pmevo/internal/faultfs"
 	"pmevo/internal/portmap"
@@ -729,5 +730,36 @@ func TestExpSetFingerprintSensitivity(t *testing.T) {
 		if expSetFingerprint(clone) == fp {
 			t.Errorf("mutation %d did not change the set fingerprint", i)
 		}
+	}
+}
+
+// TestCheckpointKeyPinned pins the checkpoint content key of one fixed
+// experiment set and option set, every trajectory-shaping option away
+// from its default, to the value computed before the MaxUopsPerInst
+// option was retired (its slot now hashes the constant 0). A change to
+// the key makes every existing checkpoint cold-start; bump
+// ckptPayloadVersion on purpose instead of changing it by accident.
+func TestCheckpointKeyPinned(t *testing.T) {
+	set := measuredSet(t, hiddenMapping())
+	eng, err := engine.ByName("union")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := smallOpts()
+	opts.Seed = 11
+	opts.MutationRate = 0.05
+	opts.AccuracyWeight = 2
+	opts.Islands = 3
+	opts.MigrationInterval = 4
+	opts.MigrationCount = 2
+	opts.ConvergenceEps = 1e-9
+	opts.SeedMappings = []*portmap.Mapping{hiddenMapping()}
+	opts.Engine = eng
+	fp := expSetFingerprint(set)
+	if fp != 0x83a165505c13c93d {
+		t.Errorf("expSetFingerprint = %#x, want 0x83a165505c13c93d", fp)
+	}
+	if key := checkpointKey(fp, opts, planIslands(opts)); key != 0x54d062563e379ebf {
+		t.Errorf("checkpointKey = %#x, want 0x54d062563e379ebf", key)
 	}
 }

@@ -43,10 +43,12 @@
 // generation. Several islands each draw from their own stream, split
 // deterministically from the master stream, and evaluate serially
 // through a private engine.BatchEvaluator. All islands share one
-// engine.Service. Because islands only interact at epoch barriers
-// (migration is applied serially, collect-then-apply) and share no
-// cache, a fixed Seed and a fixed Islands produce bit-identical results
-// and evaluation counts regardless of Workers or goroutine scheduling.
+// engine.Service. Every child of every generation is evaluated, so an
+// island of p individuals that runs g generations evaluates exactly
+// p·(g+1) candidates. Because islands only interact at epoch barriers
+// (migration is applied serially, collect-then-apply), a fixed Seed and
+// a fixed Islands produce bit-identical results and evaluation counts
+// regardless of Workers or goroutine scheduling.
 package evo
 
 import (
@@ -89,18 +91,12 @@ type Options struct {
 	// NumPorts is the |P| hyperparameter given by the user (Figure 5:
 	// "# ports").
 	NumPorts int
-	// MaxUopsPerInst bounds the distinct µops sampled per instruction at
-	// initialization (0: |P|, the paper's choice).
-	MaxUopsPerInst int
 	// MutationRate is the per-instruction probability of re-randomizing
 	// a child's decomposition. The paper's design uses 0; non-zero
 	// values exist for the ablation study.
 	MutationRate float64
 	// LocalSearch enables the final greedy hill-climbing phase.
 	LocalSearch bool
-	// LocalSearchMaxPasses bounds hill-climbing sweeps (0: until no
-	// improvement, at most 32 passes).
-	LocalSearchMaxPasses int
 	// VolumeObjective includes the µop volume V in the fitness. The
 	// paper always uses it; disabling it is an ablation that yields less
 	// compact, harder-to-interpret mappings.
@@ -150,13 +146,13 @@ type Options struct {
 	Engine engine.Predictor
 	// Seed makes runs reproducible.
 	Seed int64
-	// DisableCache turns off the two ways evaluation skips redundant
-	// work: the per-generation duplicate-candidate skip (a child equal
-	// to a current parent or an earlier sibling copies its fitness) and
-	// the incremental (delta) scoring of local-search probes — each probe
-	// is scored by a full evaluation instead. Fitness predictions take
-	// the same engine path either way. Results are bit-identical either
-	// way (pinned by test); only FitnessEvaluations grows. It is the
+	// DisableCache scores every local-search probe by a full evaluation
+	// instead of the incremental (delta) EvaluateDelta, which re-predicts
+	// only the experiments containing the changed instruction. Evolution
+	// evaluates every child either way, and fitness predictions take the
+	// same engine path. Results are bit-identical either way (pinned by
+	// test); only the engine's delta counters and, by the one evaluation
+	// that starts delta scoring, FitnessEvaluations differ. It is the
 	// reference side of the on/off twin tests and of pmevo-bench's
 	// fitness experiment.
 	DisableCache bool
@@ -462,7 +458,8 @@ func planIslands(opts Options) islandPlan {
 }
 
 // island is one sub-population of a run (the whole population when the
-// run has one island). Between epoch barriers an island touches no
+// run has one island). Every generation's children are evaluated,
+// duplicates included. Between epoch barriers an island touches no
 // state outside itself except the shared engine.Service's read-only
 // experiment data and atomic counters (through its evaluator), which is
 // what makes the run scheduling-independent.
@@ -470,8 +467,7 @@ type island struct {
 	idx        int
 	rng        *rand.Rand
 	src        *countingSource
-	pop        []individual              // sorted best-first after every generation; the discarded follow past len
-	seen       map[uint64]engine.Fitness // duplicate skip: fingerprint -> fitness, primed with the parents each generation
+	pop        []individual // sorted best-first after every generation; the discarded follow past len
 	be         batchEvaluator
 	sc         genScratch
 	history    []GenStats
@@ -487,17 +483,14 @@ type island struct {
 // genScratch is an island's storage for the generation step, reused
 // across generations so that, once it has grown, the island's own part
 // of a step allocates nothing: recombination's splits and the dropped
-// child of an odd population, the duplicate skip's buffers and
+// child of an odd population, the batch handed to the evaluator and
 // selection's sort keys.
 type genScratch struct {
 	a1, a2, b1, b2 []portmap.UopCount // one instruction of parents a and b, split between children 1 and 2
 	spare          individual         // takes the last pair's second child when p is odd
 
-	fps     []uint64 // each candidate's whole-mapping fingerprint
-	batch   map[uint64]struct{}
-	uniq    []*portmap.Mapping // the candidates sent to the evaluator
-	uniqFPs []uint64
-	fits    []engine.Fitness
+	ms   []*portmap.Mapping // the batch's mappings, in order
+	fits []engine.Fitness   // their fitnesses
 
 	byKey popByKey
 }
@@ -526,12 +519,12 @@ func (isl *island) alive(maxGens int) bool {
 // snapshot (encoded before the next generation starts), so a discarded
 // mapping is free to overwrite. Migration replaces survivors with
 // clones, and the replaced mappings are dropped, not recycled.
-func (isl *island) evolve(ctx context.Context, set *exp.Set, opts Options, dedupe bool) {
+func (isl *island) evolve(ctx context.Context, set *exp.Set, opts Options) {
 	if isl.err != nil {
 		return
 	}
 	if !isl.inited {
-		if err := isl.evaluate(ctx, isl.pop, dedupe); err != nil {
+		if err := isl.evaluate(ctx, isl.pop); err != nil {
 			isl.err = err
 			return
 		}
@@ -567,13 +560,7 @@ func (isl *island) evolve(ctx context.Context, set *exp.Set, opts Options, dedup
 				mutate(isl.rng, c2, opts, set.Individual)
 			}
 		}
-		if dedupe {
-			clear(isl.seen)
-			for i := range isl.pop {
-				isl.seen[isl.pop[i].m.FingerprintAll()] = engine.Fitness{Davg: isl.pop[i].davg, Volume: isl.pop[i].volume}
-			}
-		}
-		if err := isl.evaluate(ctx, children, dedupe); err != nil {
+		if err := isl.evaluate(ctx, children); err != nil {
 			// Interrupted mid-batch: the aborted generation's children
 			// are discarded and the island state stays at the last
 			// boundary (gens/draws untouched). Real errors propagate.
@@ -658,11 +645,9 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 			rng, src = newCountedRand(master.Int63())
 		}
 		isls[k] = &island{
-			idx:  k,
-			rng:  rng,
-			src:  src,
-			seen: make(map[uint64]engine.Fitness),
-			sc:   genScratch{batch: make(map[uint64]struct{})},
+			idx: k,
+			rng: rng,
+			src: src,
 			//pmevo:allow serialhandle -- each island is owned by exactly one worker goroutine per generation (see runIslands); the handle never crosses islands
 			be: svc.NewBatchEvaluator(),
 		}
@@ -707,7 +692,6 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 					NumInsts:       set.NumInsts,
 					NumPorts:       opts.NumPorts,
 					ThroughputHint: set.Individual,
-					MaxUops:        opts.MaxUopsPerInst,
 				})})
 			}
 			isl.draws = isl.src.n
@@ -764,7 +748,6 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 		return combined[0]
 	}
 
-	dedupe := !opts.DisableCache
 	for {
 		alive := 0
 		for _, isl := range isls {
@@ -793,7 +776,7 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 		}
 		restoredEpoch = false
 		engine.ForEachWorker(len(isls), opts.Workers, func(_, k int) {
-			isls[k].evolve(ctx, set, opts, dedupe)
+			isls[k].evolve(ctx, set, opts)
 		})
 		interrupted := runctrl.Check(ctx)
 		for _, isl := range isls {
@@ -921,61 +904,26 @@ type batchEvaluator interface {
 	EvaluateAll(ctx context.Context, ms []*portmap.Mapping, out []engine.Fitness) error
 }
 
-// evaluate fills in the objectives of all individuals through the
-// island's batch evaluator. With dedupe enabled, structurally equal
-// candidates — detected by whole-mapping fingerprint, within the batch
-// and against the caller-primed seen map — are evaluated once and the
-// fitness copied (bit-identical: equal mappings have equal fitness).
-// Newly computed fitnesses are added to seen. The buffers live in the
-// island's scratch.
+// evaluate fills in the objectives of all individuals with one call to
+// the island's batch evaluator. The buffers live in the island's
+// scratch.
 //
 // An interrupted EvaluateAll leaves the batch partially filled; the
 // error propagates and no individual is updated, so the caller's
 // population stays consistent (the aborted batch is simply discarded).
-func (isl *island) evaluate(ctx context.Context, inds []individual, dedupe bool) error {
+func (isl *island) evaluate(ctx context.Context, inds []individual) error {
 	sc := &isl.sc
-	sc.uniq = sc.uniq[:0]
-	if !dedupe {
-		for i := range inds {
-			sc.uniq = append(sc.uniq, inds[i].m)
-		}
-		sc.fits = slices.Grow(sc.fits[:0], len(inds))[:len(inds)]
-		if err := isl.be.EvaluateAll(ctx, sc.uniq, sc.fits); err != nil {
-			return err
-		}
-		for i := range inds {
-			inds[i].davg = sc.fits[i].Davg
-			inds[i].volume = sc.fits[i].Volume
-		}
-		return nil
-	}
-
-	sc.fps, sc.uniqFPs = sc.fps[:0], sc.uniqFPs[:0]
-	clear(sc.batch)
+	sc.ms = sc.ms[:0]
 	for i := range inds {
-		fp := inds[i].m.FingerprintAll()
-		sc.fps = append(sc.fps, fp)
-		if _, ok := isl.seen[fp]; ok {
-			continue
-		}
-		if _, ok := sc.batch[fp]; ok {
-			continue
-		}
-		sc.batch[fp] = struct{}{}
-		sc.uniq = append(sc.uniq, inds[i].m)
-		sc.uniqFPs = append(sc.uniqFPs, fp)
+		sc.ms = append(sc.ms, inds[i].m)
 	}
-	sc.fits = slices.Grow(sc.fits[:0], len(sc.uniq))[:len(sc.uniq)]
-	if err := isl.be.EvaluateAll(ctx, sc.uniq, sc.fits); err != nil {
+	sc.fits = slices.Grow(sc.fits[:0], len(inds))[:len(inds)]
+	if err := isl.be.EvaluateAll(ctx, sc.ms, sc.fits); err != nil {
 		return err
 	}
-	for k, fp := range sc.uniqFPs {
-		isl.seen[fp] = sc.fits[k]
-	}
 	for i := range inds {
-		f := isl.seen[sc.fps[i]]
-		inds[i].davg = f.Davg
-		inds[i].volume = f.Volume
+		inds[i].davg = sc.fits[i].Davg
+		inds[i].volume = sc.fits[i].Volume
 	}
 	return nil
 }
@@ -1146,11 +1094,14 @@ func mutate(rng *rand.Rand, m *portmap.Mapping, opts Options, tpHints []float64)
 			NumInsts:       1,
 			NumPorts:       opts.NumPorts,
 			ThroughputHint: []float64{hint},
-			MaxUops:        opts.MaxUopsPerInst,
 		})
 		m.SetDecomp(i, single.Decomp[0])
 	}
 }
+
+// localSearchMaxPasses bounds the hill-climbing sweeps; a sweep that
+// improves nothing ends the search earlier.
+const localSearchMaxPasses = 32
 
 // localSearch greedily adjusts µop multiplicities (§4.4: "incrementally
 // adjusts the number n of µop occurrences for each edge (i,n,u) ∈ N and
@@ -1190,11 +1141,7 @@ func localSearch(ctx context.Context, svc *engine.Service, start individual, opt
 		return d2 <= d1+1e-12 && v2 < v1
 	}
 
-	maxPasses := opts.LocalSearchMaxPasses
-	if maxPasses <= 0 {
-		maxPasses = 32
-	}
-	for pass := 0; pass < maxPasses; pass++ {
+	for pass := 0; pass < localSearchMaxPasses; pass++ {
 		improved := false
 		for i := 0; i < m.NumInsts(); i++ {
 			if err := runctrl.Check(ctx); err != nil {

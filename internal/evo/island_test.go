@@ -84,10 +84,10 @@ func TestGoldenSinglePopulation(t *testing.T) {
 	}{
 		{name: "seed7-localsearch", hidden: hiddenMapping(), opts: smallGolden(7, true), want: prePR,
 			fingerprint: prePR.FingerprintAll(), davgBits: 0x3f9a41a41a41a41a, volume: 5,
-			generations: 32, evals: 3947, history: 0x9eca098f2f115144},
+			generations: 32, evals: 4955, history: 0x9eca098f2f115144},
 		{name: "seed42-evolution-only", hidden: hiddenMapping(), opts: smallGolden(42, false), want: prePR,
 			fingerprint: prePR.FingerprintAll(), davgBits: 0x3f9a41a41a41a41a, volume: 5,
-			generations: 26, evals: 3283, history: 0xa2fedf97c494d9d1},
+			generations: 26, evals: 4050, history: 0xa2fedf97c494d9d1},
 		{name: "six-insts-localsearch", hidden: sixInsts, opts: sixOpts(true),
 			fingerprint: 0x28bee278f2b782dd, davgBits: 0x3fce8eb5b8284f52, volume: 7,
 			generations: 15, evals: 974, history: 0x92dc39b453bbf991},
@@ -511,15 +511,16 @@ func TestBatchEvaluatorMatchesService(t *testing.T) {
 	}
 }
 
-// TestFitnessEvaluationsRepeat pins the duplicate skip's evaluation
-// count across identical runs: every repeat evaluates exactly the same
-// candidates, with and without local search.
+// TestFitnessEvaluationsRepeat pins the evaluation budget across
+// identical runs. Evolution evaluates the initial population and every
+// generation's p children, p·(generations+1) candidates; local search
+// adds one full evaluation of its start and one per delta probe.
 func TestFitnessEvaluationsRepeat(t *testing.T) {
 	set := measuredSet(t, hiddenMapping())
 	for _, tc := range []struct {
 		localSearch bool
 		evals       int
-	}{{false, 869}, {true, 874}} {
+	}{{false, 960}, {true, 965}} {
 		opts := Options{PopulationSize: 60, MaxGenerations: 15, NumPorts: 3, VolumeObjective: true,
 			Seed: 3, LocalSearch: tc.localSearch}
 		for rep := 0; rep < 4; rep++ {
@@ -527,9 +528,13 @@ func TestFitnessEvaluationsRepeat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.FitnessEvaluations != tc.evals {
-				t.Errorf("local search %v, repeat %d: FitnessEvaluations = %d, want %d",
-					tc.localSearch, rep, res.FitnessEvaluations, tc.evals)
+			want := opts.PopulationSize * (res.Generations + 1)
+			if tc.localSearch {
+				want += 1 + int(res.CacheStats.DeltaEvaluations)
+			}
+			if res.FitnessEvaluations != want || res.FitnessEvaluations != tc.evals {
+				t.Errorf("local search %v, repeat %d: FitnessEvaluations = %d, want %d (budget formula %d)",
+					tc.localSearch, rep, res.FitnessEvaluations, tc.evals, want)
 			}
 		}
 	}

@@ -6,9 +6,8 @@ import "fmt"
 // 64-bit fingerprint, a hash of its canonical []UopCount form. Two
 // decompositions with the same multiset of µops have the same fingerprint;
 // distinct decompositions collide with probability ~2^-64. The engine's
-// per-worker unit-table cache and the evolutionary algorithm's
-// duplicate-candidate skip treat fingerprint equality as decomposition
-// equality.
+// per-worker unit-table cache treats fingerprint equality as
+// decomposition equality.
 //
 // Fingerprints are maintained eagerly by every mutating method of Mapping
 // (SetDecomp, SetDecompMerged, AddUop, SetUopCount, RemoveUopAt,
@@ -94,8 +93,7 @@ func (m *Mapping) CheckFingerprints() error {
 // FingerprintAll returns a fingerprint of the whole mapping: the port
 // count and every instruction's decomposition fingerprint, chained in
 // instruction order. Equal mappings (Equal) have equal FingerprintAll;
-// the evolutionary algorithm uses it to skip re-evaluating duplicate
-// candidates.
+// the evolution checkpoint key hashes its seed mappings with it.
 func (m *Mapping) FingerprintAll() uint64 {
 	h := mix64(fpSeed ^ uint64(m.NumPorts))
 	for i := range m.Decomp {

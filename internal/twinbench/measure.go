@@ -52,52 +52,7 @@ func measureOn(ctx context.Context, scale eval.Scale, cacheDir string, names ...
 // measureArch times one processor's fast run and twin run, checks them
 // bit for bit, and adds the processor's metrics.
 func measureArch(ctx context.Context, metrics map[string]float64, name string, scale eval.Scale, cacheDir string) error {
-	// At least two forms per semantic class: the paper's form sets
-	// (310/390 forms over a few dozen classes) are dominated by
-	// same-class forms with identical execution behaviour, and that
-	// class-level redundancy, which the kernel cache collapses, is part
-	// of the workload under test. One form per class would hide it.
-	perClass := scale.MaxFormsPerClass
-	if perClass == 1 {
-		perClass = 2
-	}
-	run := func(baseline bool) (*exp.Set, *measure.Harness, float64, error) {
-		// Known cache state: earlier experiments in the same process
-		// measure overlapping kernels on the same machines, and without
-		// a flush the fast run would be served hits it did not pay for.
-		// A failed load (absent or stale spill) flushes again, so a
-		// partially applied load cannot skew the warm-hit attribution.
-		measure.FlushSimCache()
-		if cacheDir != "" {
-			if _, err := measure.LoadSimCache(measure.SimCachePath(cacheDir)); err != nil {
-				measure.FlushSimCache()
-			}
-		}
-		proc, err := uarch.ByName(name)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if baseline {
-			proc.Config.PeriodDetectBudget = machine.PeriodDetectDisabled
-			proc.Config.EventDrivenDisabled = true
-		}
-		sub, ids, err := eval.SubsetForms(proc.ISA, perClass)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		mopts := measure.DefaultOptions()
-		mopts.Seed = scale.Seed
-		mopts.DisableSimCache = baseline
-		h, err := measure.NewHarness(proc, mopts)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		start := time.Now()
-		set, err := exp.GenerateAndMeasure(ctx, measure.SubsetMeasurer{H: h, IDs: ids}, sub.NumForms())
-		return set, h, time.Since(start).Seconds(), err
-	}
-
-	fastSet, h, fastSecs, err := run(false)
+	fastSet, h, fastSecs, err := measureSide(ctx, name, scale, cacheDir, false)
 	if err != nil {
 		return err
 	}
@@ -110,7 +65,7 @@ func measureArch(ctx context.Context, metrics map[string]float64, name string, s
 			return fmt.Errorf("spill kernel cache: %w", err)
 		}
 	}
-	baseSet, _, baseSecs, err := run(true)
+	baseSet, _, baseSecs, err := measureSide(ctx, name, scale, cacheDir, true)
 	if err != nil {
 		return err
 	}
@@ -134,4 +89,52 @@ func measureArch(ctx context.Context, metrics map[string]float64, name string, s
 	metrics["sim_warm_hits_"+name] = float64(st.SimWarmHits)
 	metrics["experiments_"+name] = float64(fastSet.NumExperiments())
 	return nil
+}
+
+// measureSide runs one side of measureArch on the named processor: the
+// fast path, or with baseline the brute-force twin. It returns the
+// measured set, the harness and the seconds generate-and-measure took.
+func measureSide(ctx context.Context, name string, scale eval.Scale, cacheDir string, baseline bool) (*exp.Set, *measure.Harness, float64, error) {
+	// At least two forms per semantic class: the paper's form sets
+	// (310/390 forms over a few dozen classes) are dominated by
+	// same-class forms with identical execution behaviour, and that
+	// class-level redundancy, which the kernel cache collapses, is part
+	// of the workload under test. One form per class would hide it.
+	perClass := scale.MaxFormsPerClass
+	if perClass == 1 {
+		perClass = 2
+	}
+	// Known cache state: earlier experiments in the same process
+	// measure overlapping kernels on the same machines, and without a
+	// flush the fast run would be served hits it did not pay for. A
+	// failed load (absent or stale spill) flushes again, so a partially
+	// applied load cannot skew the warm-hit attribution.
+	measure.FlushSimCache()
+	if cacheDir != "" {
+		if _, err := measure.LoadSimCache(measure.SimCachePath(cacheDir)); err != nil {
+			measure.FlushSimCache()
+		}
+	}
+	proc, err := uarch.ByName(name)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	if baseline {
+		proc.Config.PeriodDetectBudget = machine.PeriodDetectDisabled
+		proc.Config.EventDrivenDisabled = true
+	}
+	sub, ids, err := eval.SubsetForms(proc.ISA, perClass)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	mopts := measure.DefaultOptions()
+	mopts.Seed = scale.Seed
+	mopts.DisableSimCache = baseline
+	h, err := measure.NewHarness(proc, mopts)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	start := time.Now()
+	set, err := exp.GenerateAndMeasure(ctx, measure.SubsetMeasurer{H: h, IDs: ids}, sub.NumForms())
+	return set, h, time.Since(start).Seconds(), err
 }

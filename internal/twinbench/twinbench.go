@@ -4,8 +4,8 @@
 // pmevo-bench BENCH record, under the names that record and CI's
 // perf-smoke gates use:
 //
-//   - Fitness: inference with evo's duplicate skip and delta local
-//     search on and off; both must reach a bit-equal best Davg.
+//   - Fitness: inference with evo's delta local search on and off;
+//     both must reach a bit-equal best Davg.
 //   - Measure: §4.2 generate-and-measure with the measurement fast path
 //     on and off; every measurement must be bit-equal.
 //   - Machine: the simulator core with the event-driven fast-forward on
@@ -61,9 +61,9 @@ func hiddenSet(ctx context.Context, seed int64, insts, ports int) (*exp.Set, err
 }
 
 // Fitness times a full inference (evolution plus local search) on a
-// hidden 12-instruction, 8-port machine with evo's redundancy-exploiting
-// layer on and off (evo.Options.DisableCache), and fails unless both
-// runs reach a bit-equal best Davg.
+// hidden 12-instruction, 8-port machine with evo's delta local search on
+// and off (evo.Options.DisableCache), and fails unless both runs reach a
+// bit-equal best Davg.
 func Fitness(ctx context.Context, scale eval.Scale) (map[string]float64, error) {
 	const insts, ports = 12, 8
 	set, err := hiddenSet(ctx, scale.Seed+4, insts, ports)
@@ -113,15 +113,17 @@ const evoPopFactor = 50
 // Evo times evolution on a hidden 6-instruction, 3-port machine with
 // one population and with scale.Islands islands (0: GOMAXPROCS; at
 // least 2, so the island path always runs), at an equal evaluation
-// budget: the same population and generation bound.
+// budget: the same population and generation bound. Both evaluate every
+// child, so unless an island converges early each run spends exactly
+// population × (generations+1) evaluations.
 //
 // The machine is narrow on purpose. Evaluation is cheap there, so the
 // serial per-generation phases that the island model shards
-// (recombination, selection, dedup priming) carry a large share of the
-// run; on a wide machine evaluation, which one population already
-// parallelizes, would bury them. Local search is off in both runs: it
-// is a serial final phase common to both, timed by Fitness. The island
-// model's determinism contracts are pinned by internal/evo's tests.
+// (recombination and selection) carry a large share of the run; on a
+// wide machine evaluation, which one population already parallelizes,
+// would bury them. Local search is off in both runs: it is a serial
+// final phase common to both, timed by Fitness. The island model's
+// determinism contracts are pinned by internal/evo's tests.
 func Evo(ctx context.Context, scale eval.Scale) (map[string]float64, error) {
 	const insts, ports = 6, 3
 	set, err := hiddenSet(ctx, scale.Seed+6, insts, ports)
