@@ -4,9 +4,9 @@
 // (ctxflow), fingerprint mutation seams (fpguard), cache-key discipline
 // (cachekey) — and the flow-sensitive concurrency-contract analyzers on
 // the CFG/dataflow core — scratch escape (scratchescape), atomic access
-// hygiene (atomichygiene), serial handles (serialhandle), goroutine
-// joins (goroutinejoin), cache-load error flow (errflow) — plus hygiene
-// checks on //pmevo:allow suppressions.
+// hygiene (atomichygiene), goroutine joins (goroutinejoin), cache-load
+// error flow (errflow) — plus hygiene checks on //pmevo:allow
+// suppressions.
 //
 // Usage:
 //

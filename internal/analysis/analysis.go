@@ -9,12 +9,12 @@
 // Two layers share the framework. The syntactic analyzers (detrand,
 // mapiter, ctxflow, fpguard, cachekey) pattern-match the typed AST
 // directly. The concurrency-contract analyzers (scratchescape,
-// atomichygiene, serialhandle, goroutinejoin, errflow) sit on a
-// flow-sensitive core — a per-function control-flow graph (cfg.go) with
-// a forward origin-tracking dataflow pass over it (dataflow.go) — so
-// they can answer path questions ("is this scratch released on every
-// path to return?", "is this error checked before the function exits?")
-// rather than only shape questions.
+// atomichygiene, goroutinejoin, errflow) sit on a flow-sensitive core —
+// a per-function control-flow graph (cfg.go) with a forward
+// origin-tracking dataflow pass over it (dataflow.go) — so they can
+// answer path questions ("is this scratch released on every path to
+// return?", "is this error checked before the function exits?") rather
+// than only shape questions.
 //
 // The suite is driven by cmd/pmevo-vet and by the self-check test in
 // this package, which asserts the module itself stays clean. Deliberate
@@ -175,7 +175,7 @@ func (m *Module) sourceLine(filename string, line int) string {
 }
 
 // Suite returns the full analyzer suite in reporting order: the five
-// syntactic contract analyzers from PR 9 and the five flow-sensitive
+// syntactic contract analyzers and the four flow-sensitive
 // concurrency-contract analyzers built on the CFG/dataflow core.
 func Suite() []Analyzer {
 	return []Analyzer{
@@ -186,7 +186,6 @@ func Suite() []Analyzer {
 		&cachekey{},
 		&scratchescape{},
 		&atomichygiene{},
-		&serialhandle{},
 		&goroutinejoin{},
 		&errflow{},
 	}

@@ -50,11 +50,6 @@ func TestAtomichygieneFixture(t *testing.T) {
 		"internal/analysis/testdata/atomichygiene/cachetable")
 }
 
-func TestSerialhandleFixture(t *testing.T) {
-	runFixture(t, []Analyzer{&serialhandle{}},
-		"internal/analysis/testdata/serialhandle/lib")
-}
-
 func TestGoroutinejoinFixture(t *testing.T) {
 	runFixture(t, []Analyzer{&goroutinejoin{}},
 		"internal/analysis/testdata/goroutinejoin/lib",

@@ -18,6 +18,7 @@ import (
 // put*/release*/free*-named call) on the claimed value must dominate
 // every path to the exit, or the arena silently stops being reused.
 //
+// A slice of scratches is a batch, claimed and released whole.
 // Functions whose own result type is a scratch type are accessors: the
 // return IS the handoff, and the caller inherits the release
 // obligation, so both checks skip them. Deliberate ownership transfers
@@ -41,6 +42,9 @@ var scratchTypes = [...]struct{ pathSuffix, name string }{
 }
 
 func isScratchType(t types.Type) bool {
+	if sl, ok := types.Unalias(t).(*types.Slice); ok {
+		t = sl.Elem() // a batch of scratches is claimed and released whole
+	}
 	for _, s := range scratchTypes {
 		if isNamedType(t, s.pathSuffix, s.name) {
 			return true

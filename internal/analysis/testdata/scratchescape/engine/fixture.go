@@ -24,6 +24,22 @@ func putScratch(s *evalScratch) {
 	scratchPool.Put(s)
 }
 
+// getScratches is a batch accessor: a slice of scratches is claimed and
+// released whole.
+func getScratches(n int) []*evalScratch {
+	scs := make([]*evalScratch, n)
+	for i := range scs {
+		scs[i] = getScratch()
+	}
+	return scs
+}
+
+func putScratches(scs []*evalScratch) {
+	for _, s := range scs {
+		putScratch(s)
+	}
+}
+
 // GoodSum claims, uses, and releases on every path via defer.
 func GoodSum(xs []float64) float64 {
 	s := getScratch()
@@ -42,6 +58,21 @@ func GoodDirectPool() {
 	s := scratchPool.Get().(*evalScratch)
 	s.buf = s.buf[:0]
 	scratchPool.Put(s)
+}
+
+// GoodBatch claims a batch and releases it whole via defer.
+func GoodBatch(n int) {
+	scs := getScratches(n)
+	defer putScratches(scs)
+	for _, s := range scs {
+		s.buf = s.buf[:0]
+	}
+}
+
+// BadBatchLeak never releases the batch it claims.
+func BadBatchLeak(n int) {
+	scs := getScratches(n) // want "not released"
+	scs[0].buf = nil
 }
 
 // BadLeak releases on one path only: the empty-input return leaks the

@@ -40,12 +40,12 @@ func sameFitness(a, b Fitness) bool {
 }
 
 // TestMemoizedDavgBitIdentical is the central fast-path property: every
-// entry point — Evaluate, EvaluateAll, a BatchEvaluator and NewState —
-// predicts through per-worker unit tables memoized by decomposition
-// fingerprint (or, above throughput.MaxUnitTablePorts, ThroughputOf), and
-// must return a Davg bit-identical to the ThroughputOf oracle twin. The
-// batch holds clones and repeats, which reuse cached tables. It also
-// pins the kernel-call counter: one call per fast-path experiment.
+// entry point — Evaluate, EvaluateAll and NewState — predicts through
+// per-scratch unit tables memoized by decomposition fingerprint (or,
+// above throughput.MaxUnitTablePorts, ThroughputOf), and must return a
+// Davg bit-identical to the ThroughputOf oracle twin. The batch holds
+// clones and repeats, which reuse cached tables. It also pins the
+// kernel-call counter: one call per fast-path experiment.
 func TestMemoizedDavgBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for _, k := range twinPorts {
@@ -85,10 +85,6 @@ func TestMemoizedDavgBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("EvaluateAll", got)
-		if err := fast.NewBatchEvaluator().EvaluateAll(context.Background(), ms, got); err != nil {
-			t.Fatal(err)
-		}
-		check("BatchEvaluator", got)
 		for i, m := range ms {
 			st, err := fast.NewState(m)
 			if err != nil {
@@ -274,13 +270,13 @@ func TestEvaluateDeltaValidation(t *testing.T) {
 	}
 }
 
-// TestMemoConcurrentEvaluation hammers one fast-path service from many
-// goroutines — each alternating Evaluate, whose scratch and memoized unit
-// tables come from a shared pool, with its own BatchEvaluator — over a
-// small set of shared mappings at every port count of twinPorts. Under
-// -race this verifies the per-worker state and the pure fingerprint
-// reads; every result must match the oracle twin bit for bit.
-func TestMemoConcurrentEvaluation(t *testing.T) {
+// TestConcurrentEvaluation hammers one fast-path service from many
+// goroutines at once, each alternating Evaluate with EvaluateAll batches
+// that fan out over the service's own workers, over a small set of
+// shared mappings at every port count of twinPorts. Under -race this
+// verifies that concurrent calls never share a scratch from the free
+// list; every result must match the oracle twin bit for bit.
+func TestConcurrentEvaluation(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for _, k := range twinPorts {
 		fast, twin := newOracleTwins(t, rng, 8, k)
@@ -299,43 +295,62 @@ func TestMemoConcurrentEvaluation(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				be := fast.NewBatchEvaluator()
-				got := make([]Fitness, 1)
+				batch := make([]*portmap.Mapping, 12)
+				got := make([]Fitness, len(batch))
 				for iter := 0; iter < 20; iter++ {
-					i := (g + iter) % len(mappings)
-					var err error
 					if iter%2 == 0 {
-						got[0], err = fast.Evaluate(mappings[i])
-					} else {
-						err = be.EvaluateAll(context.Background(), mappings[i:i+1], got)
+						i := (g + iter) % len(mappings)
+						if f, err := fast.Evaluate(mappings[i]); err != nil || !sameFitness(f, want[i]) {
+							t.Errorf("k=%d: concurrent Evaluate = %+v, %v; want %+v", k, f, err, want[i])
+							return
+						}
+						continue
 					}
-					if err != nil {
+					for j := range batch {
+						batch[j] = mappings[(g+iter+j)%len(mappings)]
+					}
+					if err := fast.EvaluateAll(context.Background(), batch, got); err != nil {
 						t.Errorf("k=%d: %v", k, err)
 						return
 					}
-					if !sameFitness(got[0], want[i]) {
-						t.Errorf("k=%d: concurrent evaluation diverged: %+v != %+v", k, got[0], want[i])
-						return
+					for j := range batch {
+						if w := want[(g+iter+j)%len(mappings)]; !sameFitness(got[j], w) {
+							t.Errorf("k=%d: concurrent EvaluateAll diverged: %+v != %+v", k, got[j], w)
+							return
+						}
 					}
 				}
 			}(g)
 		}
 		wg.Wait()
+	}
+}
 
-		// Batched evaluation over a population with many duplicates.
-		pop := make([]*portmap.Mapping, 64)
-		fits := make([]Fitness, len(pop))
-		for i := range pop {
-			pop[i] = mappings[i%len(mappings)]
-		}
-		if err := fast.EvaluateAll(context.Background(), pop, fits); err != nil {
+// TestScratchesReused pins the free list: sequential batches at Workers
+// 3 reuse the three scratches the first batch made, and Evaluate takes
+// one of them instead of making a fourth.
+func TestScratchesReused(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	_, set := measuredSet(t, rng, 8, 4)
+	svc, err := NewService(set, ServiceOptions{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]*portmap.Mapping, 10)
+	for i := range batch {
+		batch[i] = portmap.Random(rng, portmap.RandomOptions{NumInsts: 8, NumPorts: 4, MaxUops: 2})
+	}
+	out := make([]Fitness, len(batch))
+	for b := 0; b < 20; b++ {
+		if err := svc.EvaluateAll(context.Background(), batch, out); err != nil {
 			t.Fatal(err)
 		}
-		for i := range pop {
-			if !sameFitness(fits[i], want[i%len(mappings)]) {
-				t.Fatalf("k=%d batch %d: %+v != %+v", k, i, fits[i], want[i%len(mappings)])
-			}
-		}
+	}
+	if _, err := svc.Evaluate(batch[0]); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(svc.free); n != 3 {
+		t.Errorf("free list holds %d scratches after 20 batches at Workers 3, want 3", n)
 	}
 }
 

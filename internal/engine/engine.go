@@ -12,8 +12,8 @@
 //     fans out over a worker pool.
 //   - Service: a fitness-evaluation service over a fixed measured
 //     experiment set, with pre-flattened experiment storage and
-//     per-worker reusable evaluator state so the hot loop performs no
-//     allocation.
+//     reusable evaluator state on one free list, so the hot loop
+//     performs no allocation and concurrent batches share no scratch.
 //
 // All engines agree on all inputs (up to floating-point tolerance);
 // this is property-tested in this package and re-checked end to end by

@@ -264,9 +264,6 @@ func TestUndersizedMappingRejected(t *testing.T) {
 		{"EvaluateAll", func(svc *Service) error {
 			return svc.EvaluateAll(context.Background(), batch, make([]Fitness, len(batch)))
 		}},
-		{"BatchEvaluator", func(svc *Service) error {
-			return svc.NewBatchEvaluator().EvaluateAll(context.Background(), batch, make([]Fitness, len(batch)))
-		}},
 		{"NewState", func(svc *Service) error { _, err := svc.NewState(small); return err }},
 	}
 	for _, path := range []struct {

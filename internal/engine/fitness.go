@@ -10,7 +10,6 @@ import (
 
 	"pmevo/internal/exp"
 	"pmevo/internal/portmap"
-	"pmevo/internal/runctrl"
 	"pmevo/internal/throughput"
 )
 
@@ -24,13 +23,13 @@ type Fitness struct {
 
 // ServiceOptions configures a fitness-evaluation Service.
 type ServiceOptions struct {
-	// Workers is the parallelism of EvaluateAll (<= 0: GOMAXPROCS).
+	// Workers is the parallelism of each EvaluateAll batch (<= 0:
+	// GOMAXPROCS).
 	Workers int
 	// Predictor selects the throughput engine. nil selects the built-in
-	// bottleneck fast path, which evaluates with zero allocation through
-	// per-worker reusable evaluator state and unit tables, bit-identical
-	// to Default(); any other engine goes through the generic Predict
-	// interface.
+	// bottleneck fast path, which reuses evaluator state and unit tables
+	// across candidates, bit-identical to Default(); any other engine
+	// goes through the generic Predict interface.
 	Predictor Predictor
 }
 
@@ -72,11 +71,12 @@ type CacheStats struct {
 // algorithm (§4.4/§4.5). Construction pre-flattens the experiment set
 // into contiguous storage and builds an inverted index (instruction →
 // experiments containing it); batched evaluation fans out over a worker
-// pool whose workers each own reusable evaluator state, so the
-// per-candidate hot loop allocates nothing.
+// pool whose workers each take reusable evaluator state from the
+// Service's free list, so the per-candidate hot loop allocates nothing.
 //
 // On the fast path every experiment costs one bottleneck kernel call.
-// The per-worker unit-table cache (see evalScratch) is the only cache.
+// The unit-table cache each scratch carries (see evalScratch) is the
+// only cache.
 // The incremental NewState/EvaluateDelta API skips whole predictions:
 // re-evaluating after a single-instruction change only re-predicts the
 // experiments that contain the changed instruction, turning a
@@ -89,9 +89,10 @@ type CacheStats struct {
 // delta evaluation re-accumulates the error sum in experiment order, so
 // Davg is bit-identical to a full evaluation.
 //
-// Evaluate may be called concurrently; EvaluateAll runs one batch at a
-// time (per-worker state is reused across batches). Every entry point
-// rejects a mapping covering fewer instructions than the experiment set
+// Evaluate and EvaluateAll may be called concurrently: each call takes
+// the scratches it needs from the free list and returns them when done,
+// so concurrent batches never share one. Every entry point rejects a
+// mapping covering fewer instructions than the experiment set
 // references.
 type Service struct {
 	workers  int
@@ -109,8 +110,8 @@ type Service struct {
 	// i. EvaluateDelta re-predicts exactly these.
 	instExps [][]int32
 
-	workerSc []evalScratch // per-worker state for EvaluateAll
-	pool     sync.Pool     // *evalScratch for Evaluate
+	mu   sync.Mutex
+	free []*evalScratch // idle scratches, reused by every later call
 
 	evals        atomic.Int64
 	deltaEvals   atomic.Int64
@@ -122,7 +123,9 @@ type Service struct {
 // evaluator plus per-instruction subset-sum unit tables with their
 // per-cardinality maxima, keyed by decomposition fingerprint, so a table
 // is (re)built only when an instruction's decomposition actually differs
-// from the one last seen by this worker. A full evaluation checks every
+// from the one this scratch last saw. One goroutine at a time holds a
+// scratch, from taking it off the Service's free list until it returns
+// it, or for a FitnessState's lifetime. A full evaluation checks every
 // table once per candidate and then reads the tables directly, so a
 // table built for a candidate serves every experiment naming its
 // instruction. Across the candidates of a batch the check almost never
@@ -181,7 +184,6 @@ func NewService(set *exp.Set, opts ServiceOptions) (*Service, error) {
 		offs:     make([]int32, 1, len(set.Measurements)+1),
 		meas:     make([]float64, 0, len(set.Measurements)),
 		instExps: make([][]int32, set.NumInsts),
-		workerSc: make([]evalScratch, workers),
 	}
 	for i, m := range set.Measurements {
 		if !exp.ValidThroughput(m.Throughput) {
@@ -347,17 +349,29 @@ func (s *Service) davgGeneric(m *portmap.Mapping, preds []float64) (float64, err
 	return sum / float64(len(s.meas)), nil
 }
 
-// getScratch draws a reusable scratch for concurrent single-candidate
-// evaluation; putScratch returns it.
-func (s *Service) getScratch() *evalScratch {
-	sc, _ := s.pool.Get().(*evalScratch)
-	if sc == nil {
-		sc = new(evalScratch)
+// takeScratches takes n scratches off the free list, making new ones
+// once it runs dry; putScratches returns them. Between the two, the
+// caller's goroutines own them exclusively.
+func (s *Service) takeScratches(n int) []*evalScratch {
+	scs := make([]*evalScratch, n)
+	s.mu.Lock()
+	k := max(0, len(s.free)-n)
+	copy(scs, s.free[k:])
+	s.free = s.free[:k]
+	s.mu.Unlock()
+	for i, sc := range scs {
+		if sc == nil {
+			scs[i] = new(evalScratch)
+		}
 	}
-	return sc
+	return scs
 }
 
-func (s *Service) putScratch(sc *evalScratch) { s.pool.Put(sc) }
+func (s *Service) putScratches(scs []*evalScratch) {
+	s.mu.Lock()
+	s.free = append(s.free, scs...)
+	s.mu.Unlock()
+}
 
 // Evaluate computes the fitness of a single mapping. It is safe for
 // concurrent use and counts as one fitness evaluation.
@@ -370,28 +384,32 @@ func (s *Service) Evaluate(m *portmap.Mapping) (Fitness, error) {
 		d, err := s.davgGeneric(m, nil)
 		return Fitness{Davg: d, Volume: m.Volume()}, err
 	}
-	sc := s.getScratch()
-	f := Fitness{Davg: s.davgFast(sc, m, nil), Volume: m.Volume()}
-	s.putScratch(sc)
+	scs := s.takeScratches(1)
+	f := Fitness{Davg: s.davgFast(scs[0], m, nil), Volume: m.Volume()}
+	s.putScratches(scs)
 	return f, nil
 }
 
-// EvaluateAll computes the fitness of every mapping in ms in parallel,
-// writing results into out (len(out) must equal len(ms)). The whole
-// batch is validated before any candidate starts. Cancellation is
-// honored between candidates: once ctx is done, no further candidates
-// start and the typed interruption error (runctrl.ErrCanceled /
-// runctrl.ErrDeadline) is returned; out is then partially filled and
-// must be discarded — the caller resumes from its last consistent
-// state, which for the evolutionary loop is the previous generation.
+// EvaluateAll computes the fitness of every mapping in ms in parallel
+// over up to Workers goroutines, each holding one scratch from the free
+// list for the whole batch, and writes results into out (len(out) must
+// equal len(ms)). The whole batch is validated before any candidate
+// starts. Cancellation is honored between candidates: once ctx is done,
+// no further candidates start and the typed interruption error
+// (runctrl.ErrCanceled / runctrl.ErrDeadline) is returned; out is then
+// partially filled and must be discarded — the caller resumes from its
+// last consistent state, which for the evolutionary loop is the
+// previous generation.
 func (s *Service) EvaluateAll(ctx context.Context, ms []*portmap.Mapping, out []Fitness) error {
 	if err := s.checkCandidates(ms, out); err != nil {
 		return err
 	}
 	s.evals.Add(int64(len(ms)))
 	if s.pred == nil {
-		return ForEachWorkerCtx(ctx, len(ms), s.workers, func(w, i int) {
-			out[i] = Fitness{Davg: s.davgFast(&s.workerSc[w], ms[i], nil), Volume: ms[i].Volume()}
+		scs := s.takeScratches(min(s.workers, len(ms)))
+		defer s.putScratches(scs)
+		return ForEachWorkerCtx(ctx, len(ms), len(scs), func(w, i int) {
+			out[i] = Fitness{Davg: s.davgFast(scs[w], ms[i], nil), Volume: ms[i].Volume()}
 		})
 	}
 	return ForEachErrCtx(ctx, len(ms), s.workers, func(i int) error {
@@ -402,56 +420,4 @@ func (s *Service) EvaluateAll(ctx context.Context, ms []*portmap.Mapping, out []
 		out[i] = Fitness{Davg: d, Volume: ms[i].Volume()}
 		return nil
 	})
-}
-
-// BatchEvaluator is a serial batch-evaluation handle with its own private
-// scratch. Where Service.EvaluateAll runs one batch at a time over the
-// shared per-worker scratches, any number of BatchEvaluators may evaluate
-// concurrently against the same Service — each island of an island-model
-// run owns one and evaluates its sub-population on its own goroutine,
-// sharing only the Service's read-only experiment data and atomic
-// counters. A BatchEvaluator itself is not safe for concurrent use.
-//
-//pmevo:serial
-type BatchEvaluator struct {
-	svc *Service
-	sc  evalScratch
-}
-
-// NewBatchEvaluator returns a serial evaluation handle for this Service.
-func (s *Service) NewBatchEvaluator() *BatchEvaluator {
-	return &BatchEvaluator{svc: s}
-}
-
-// EvaluateAll computes the fitness of every mapping in ms serially on the
-// calling goroutine, writing results into out (len(out) must equal
-// len(ms)). Results are bit-identical to Service.EvaluateAll.
-// Validation and cancellation follow Service.EvaluateAll, with the same
-// partial-out contract.
-func (b *BatchEvaluator) EvaluateAll(ctx context.Context, ms []*portmap.Mapping, out []Fitness) error {
-	s := b.svc
-	if err := s.checkCandidates(ms, out); err != nil {
-		return err
-	}
-	s.evals.Add(int64(len(ms)))
-	if s.pred == nil {
-		for i, m := range ms {
-			if err := runctrl.Check(ctx); err != nil {
-				return err
-			}
-			out[i] = Fitness{Davg: s.davgFast(&b.sc, m, nil), Volume: m.Volume()}
-		}
-		return nil
-	}
-	for i, m := range ms {
-		if err := runctrl.Check(ctx); err != nil {
-			return err
-		}
-		d, err := s.davgGeneric(m, nil)
-		if err != nil {
-			return err
-		}
-		out[i] = Fitness{Davg: d, Volume: m.Volume()}
-	}
-	return nil
 }

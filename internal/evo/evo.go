@@ -38,17 +38,18 @@
 // (k+1 mod N)'s worst.
 //
 // A single island is the paper's single population. It draws from the
-// master RNG stream seeded by Options.Seed, evaluates each generation's
-// batch in parallel through the engine.Service, and runs epochs of one
+// master RNG stream seeded by Options.Seed and runs epochs of one
 // generation. Several islands each draw from their own stream, split
-// deterministically from the master stream, and evaluate serially
-// through a private engine.BatchEvaluator. All islands share one
-// engine.Service. Every child of every generation is evaluated, so an
-// island of p individuals that runs g generations evaluates exactly
-// p·(g+1) candidates. Because islands only interact at epoch barriers
-// (migration is applied serially, collect-then-apply), a fixed Seed and
-// a fixed Islands produce bit-identical results and evaluation counts
-// regardless of Workers or goroutine scheduling.
+// deterministically from the master stream. Every island evaluates each
+// generation's batch through one shared engine.Service, which splits
+// Options.Workers evenly between the islands that run at once: a single
+// island fans its batch out over all of them, and more islands than
+// workers evaluate serially. Every child of every generation is
+// evaluated, so an island of p individuals that runs g generations
+// evaluates exactly p·(g+1) candidates. Because islands only interact
+// at epoch barriers (migration is applied serially, collect-then-apply),
+// a fixed Seed and a fixed Islands produce bit-identical results and
+// evaluation counts regardless of Workers or goroutine scheduling.
 package evo
 
 import (
@@ -110,11 +111,12 @@ type Options struct {
 	AccuracyWeight float64
 	// Workers is the number of parallel fitness evaluation goroutines
 	// (0: GOMAXPROCS). Workers are shared across islands, not
-	// per-island: a single island fans each generation's batch out over
-	// Workers goroutines; several islands each evaluate serially on
-	// their own goroutine and are distributed over min(Workers, Islands)
-	// goroutines. Total parallelism never exceeds Workers either way,
-	// and the value never affects results (see Islands).
+	// per-island: the islands run on min(Workers, Islands) goroutines,
+	// and each fans its generation's batch out over its share,
+	// max(1, Workers/min(Workers, Islands)) goroutines. A single island
+	// uses all of them; more islands than Workers evaluate serially.
+	// Total parallelism never exceeds Workers, and the value never
+	// affects results (see Islands).
 	Workers int
 	// Islands shards the population into this many sub-populations of
 	// PopulationSize/Islands individuals (remainder spread over the
@@ -320,8 +322,11 @@ func Run(ctx context.Context, set *exp.Set, opts Options) (*Result, error) {
 		}
 	}
 
+	// The islands run on min(w, islands) goroutines; each batch gets
+	// that goroutine's share of the workers.
+	w := engine.Workers(opts.Workers)
 	svc, err := engine.NewService(set, engine.ServiceOptions{
-		Workers:   opts.Workers,
+		Workers:   max(1, w/min(w, plan.islands)),
 		Predictor: opts.Engine,
 	})
 	if err != nil {
@@ -460,15 +465,15 @@ func planIslands(opts Options) islandPlan {
 // island is one sub-population of a run (the whole population when the
 // run has one island). Every generation's children are evaluated,
 // duplicates included. Between epoch barriers an island touches no
-// state outside itself except the shared engine.Service's read-only
-// experiment data and atomic counters (through its evaluator), which is
-// what makes the run scheduling-independent.
+// state outside itself except the shared engine.Service, whose
+// experiment data is read-only and whose results do not depend on which
+// scratch or goroutine computes them, which is what makes the run
+// scheduling-independent.
 type island struct {
 	idx        int
 	rng        *rand.Rand
 	src        *countingSource
 	pop        []individual // sorted best-first after every generation; the discarded follow past len
-	be         batchEvaluator
 	sc         genScratch
 	history    []GenStats
 	gens       int
@@ -519,12 +524,12 @@ func (isl *island) alive(maxGens int) bool {
 // snapshot (encoded before the next generation starts), so a discarded
 // mapping is free to overwrite. Migration replaces survivors with
 // clones, and the replaced mappings are dropped, not recycled.
-func (isl *island) evolve(ctx context.Context, set *exp.Set, opts Options) {
+func (isl *island) evolve(ctx context.Context, svc *engine.Service, set *exp.Set, opts Options) {
 	if isl.err != nil {
 		return
 	}
 	if !isl.inited {
-		if err := isl.evaluate(ctx, isl.pop); err != nil {
+		if err := isl.evaluate(ctx, svc, isl.pop); err != nil {
 			isl.err = err
 			return
 		}
@@ -560,7 +565,7 @@ func (isl *island) evolve(ctx context.Context, set *exp.Set, opts Options) {
 				mutate(isl.rng, c2, opts, set.Individual)
 			}
 		}
-		if err := isl.evaluate(ctx, children); err != nil {
+		if err := isl.evaluate(ctx, svc, children); err != nil {
 			// Interrupted mid-batch: the aborted generation's children
 			// are discarded and the island state stays at the last
 			// boundary (gens/draws untouched). Real errors propagate.
@@ -631,12 +636,10 @@ func (isl *island) checkRecycle(gen int) {
 // typed interruption error. An interruption before the initial
 // population was evaluated returns no individual.
 func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Service, plan islandPlan, res *Result, cp *checkpointer, restored *ckptState) (individual, error) {
-	// A single island draws from the master stream itself and evaluates
-	// each generation in parallel through the Service. Several islands
-	// each take a stream seeded by the master's k-th draw, so the layout
-	// is a pure function of (Seed, Islands) — independent of Workers and
-	// of which goroutine runs which island — and evaluate serially
-	// through a private BatchEvaluator.
+	// A single island draws from the master stream itself. Several
+	// islands each take a stream seeded by the master's k-th draw, so the
+	// layout is a pure function of (Seed, Islands) — independent of
+	// Workers and of which goroutine runs which island.
 	master, msrc := newCountedRand(opts.Seed)
 	isls := make([]*island, plan.islands)
 	for k := range isls {
@@ -644,16 +647,7 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 		if plan.islands > 1 {
 			rng, src = newCountedRand(master.Int63())
 		}
-		isls[k] = &island{
-			idx: k,
-			rng: rng,
-			src: src,
-			//pmevo:allow serialhandle -- each island is owned by exactly one worker goroutine per generation (see runIslands); the handle never crosses islands
-			be: svc.NewBatchEvaluator(),
-		}
-	}
-	if plan.islands == 1 {
-		isls[0].be = svc
+		isls[k] = &island{idx: k, rng: rng, src: src}
 	}
 	restoredEpoch := false
 	if restored != nil {
@@ -776,7 +770,7 @@ func runIslands(ctx context.Context, set *exp.Set, opts Options, svc *engine.Ser
 		}
 		restoredEpoch = false
 		engine.ForEachWorker(len(isls), opts.Workers, func(_, k int) {
-			isls[k].evolve(ctx, set, opts)
+			isls[k].evolve(ctx, svc, set, opts)
 		})
 		interrupted := runctrl.Check(ctx)
 		for _, isl := range isls {
@@ -895,30 +889,20 @@ func mergeIslandStats(isls []*island) (int, []GenStats) {
 	return gens, hist
 }
 
-// batchEvaluator is how an island evaluates a batch. A single island
-// uses the Service itself, which fans each batch out over Workers
-// goroutines; each of several islands uses its own engine.BatchEvaluator,
-// which evaluates serially so any number can run concurrently against
-// one Service. Both produce bit-identical fitnesses.
-type batchEvaluator interface {
-	EvaluateAll(ctx context.Context, ms []*portmap.Mapping, out []engine.Fitness) error
-}
-
-// evaluate fills in the objectives of all individuals with one call to
-// the island's batch evaluator. The buffers live in the island's
-// scratch.
+// evaluate fills in the objectives of all individuals with one
+// svc.EvaluateAll call. The buffers live in the island's scratch.
 //
 // An interrupted EvaluateAll leaves the batch partially filled; the
 // error propagates and no individual is updated, so the caller's
 // population stays consistent (the aborted batch is simply discarded).
-func (isl *island) evaluate(ctx context.Context, inds []individual) error {
+func (isl *island) evaluate(ctx context.Context, svc *engine.Service, inds []individual) error {
 	sc := &isl.sc
 	sc.ms = sc.ms[:0]
 	for i := range inds {
 		sc.ms = append(sc.ms, inds[i].m)
 	}
 	sc.fits = slices.Grow(sc.fits[:0], len(inds))[:len(inds)]
-	if err := isl.be.EvaluateAll(ctx, sc.ms, sc.fits); err != nil {
+	if err := svc.EvaluateAll(ctx, sc.ms, sc.fits); err != nil {
 		return err
 	}
 	for i := range inds {

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"testing"
 
-	"pmevo/internal/engine"
 	"pmevo/internal/portmap"
 )
 
@@ -130,10 +129,12 @@ func TestGoldenSinglePopulation(t *testing.T) {
 
 // TestIslandsDeterministicAcrossWorkers is the determinism contract:
 // fixed Seed and fixed Islands must give bit-identical results and
-// evaluation counts no matter how many goroutines schedule the islands.
+// evaluation counts no matter how many goroutines schedule the islands
+// or evaluate their batches. At Workers 8 each of the 4 islands fans
+// its batches out over 2 goroutines.
 func TestIslandsDeterministicAcrossWorkers(t *testing.T) {
 	set := measuredSet(t, hiddenMapping())
-	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
+	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0), 8}
 	var ref *Result
 	var refJSON []byte
 	for _, w := range workerCounts {
@@ -457,57 +458,6 @@ func TestMergeIslandStats(t *testing.T) {
 	solo.history = []GenStats{{Generation: 0, BestError: 0.1, BestVolume: 1, MeanError: 0.1}}
 	if gens, hist := mergeIslandStats([]*island{solo}); gens != 1 || !reflect.DeepEqual(hist, solo.history) {
 		t.Errorf("single island: merged (%d, %+v), want (1, %+v)", gens, hist, solo.history)
-	}
-}
-
-// TestBatchEvaluatorMatchesService pins that the serial per-island
-// evaluator and the parallel Service batch path produce bit-identical
-// fitnesses, including when several evaluators run concurrently against
-// one Service (the island configuration; run under -race in CI).
-func TestBatchEvaluatorMatchesService(t *testing.T) {
-	set := measuredSet(t, hiddenMapping())
-	svc, err := engine.NewService(set, engine.ServiceOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	const batches, per = 4, 32
-	ms := make([][]*portmap.Mapping, batches)
-	want := make([][]engine.Fitness, batches)
-	for b := range ms {
-		ms[b] = make([]*portmap.Mapping, per)
-		for i := range ms[b] {
-			ms[b][i] = portmap.Random(rng, portmap.RandomOptions{NumInsts: set.NumInsts, NumPorts: 3})
-		}
-		want[b] = make([]engine.Fitness, per)
-		if err := svc.EvaluateAll(context.Background(), ms[b], want[b]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := make([][]engine.Fitness, batches)
-	errs := make([]error, batches)
-	var wg = make(chan struct{}, batches)
-	for b := 0; b < batches; b++ {
-		go func(b int) {
-			defer func() { wg <- struct{}{} }()
-			be := svc.NewBatchEvaluator()
-			got[b] = make([]engine.Fitness, per)
-			errs[b] = be.EvaluateAll(context.Background(), ms[b], got[b])
-		}(b)
-	}
-	for b := 0; b < batches; b++ {
-		<-wg
-	}
-	for b := range got {
-		if errs[b] != nil {
-			t.Fatal(errs[b])
-		}
-		for i := range got[b] {
-			if math.Float64bits(got[b][i].Davg) != math.Float64bits(want[b][i].Davg) ||
-				got[b][i].Volume != want[b][i].Volume {
-				t.Errorf("batch %d candidate %d: BatchEvaluator %v != Service %v", b, i, got[b][i], want[b][i])
-			}
-		}
 	}
 }
 

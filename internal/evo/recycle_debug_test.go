@@ -24,7 +24,7 @@ func TestDebugRecycleGuardPanicsOnAliasedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng, src := newCountedRand(1)
-	isl := &island{idx: 2, rng: rng, src: src, be: svc, inited: true, gens: 3, target: 4}
+	isl := &island{idx: 2, rng: rng, src: src, inited: true, gens: 3, target: 4}
 	slots := make([]individual, 8)
 	gen := rand.New(rand.NewSource(1))
 	for i := range slots {
@@ -43,5 +43,5 @@ func TestDebugRecycleGuardPanicsOnAliasedTail(t *testing.T) {
 			t.Fatal("the survivor was overwritten before the guard fired")
 		}
 	}()
-	isl.evolve(context.Background(), set, Options{MaxGenerations: 10, NumPorts: 3, VolumeObjective: true})
+	isl.evolve(context.Background(), svc, set, Options{MaxGenerations: 10, NumPorts: 3, VolumeObjective: true})
 }

@@ -134,12 +134,12 @@ func RenderAsm(isaName string, in Inst) string {
 	return in.Form.Mnemonic + " " + strings.Join(parts, ", ")
 }
 
-// x86Clobbers renders an x86 asm statement's clobber list: the flags,
-// memory and every register the loop body names — a GPR by its 64-bit
-// name, a vector register by its ymm name, which covers the xmm alias —
-// in name order. The base pointer is an input, never written, so it is
-// not listed.
-func x86Clobbers(body []Inst) string {
+// clobbers renders an asm statement's clobber list: the flags, memory
+// and every register the loop body names — a GPR by its 64-bit name, a
+// vector or FP register by the name that covers its aliases (ymm over
+// xmm on x86, v over q, d and s on A64) — in name order. The base
+// pointer is an input, never written, so it is not listed.
+func clobbers(isaName string, body []Inst) string {
 	regs := map[string]bool{}
 	for _, in := range body {
 		for _, op := range in.Operands {
@@ -148,9 +148,9 @@ func x86Clobbers(body []Inst) string {
 			}
 			switch op.Class {
 			case isa.ClassGPR:
-				regs[gprName("x86-64", op.Reg, 64)] = true
-			case isa.ClassVec:
-				regs[vecName("x86-64", op.Reg, 256)] = true
+				regs[gprName(isaName, op.Reg, 64)] = true
+			case isa.ClassVec, isa.ClassFPR:
+				regs[vecName(isaName, op.Reg, 256)] = true
 			}
 		}
 	}
@@ -166,9 +166,9 @@ func x86Clobbers(body []Inst) string {
 // body as inline assembly, and the throughput computation from the
 // §4.2 formula t*(e) = time × frequency / #instances. The asm statement
 // takes the base pointer as an operand, so its template escapes every
-// % of the body; on x86 it also clobbers the flags and every register
-// the body names, so the compiler keeps the loop's own state elsewhere.
-// The x86 program compiles with gcc; the A64 program is unverified.
+// % of the body. It clobbers the flags, memory and every register the
+// body names, so the compiler keeps the loop's own state elsewhere. The
+// x86 program compiles with gcc; the A64 program is unverified.
 func EmitC(isaName string, body []Inst, loopBound, instances int, freqGHz float64) string {
 	var b strings.Builder
 	b.WriteString("/* generated by pmevo-measure; do not edit */\n")
@@ -184,11 +184,7 @@ func EmitC(isaName string, body []Inst, loopBound, instances int, freqGHz float6
 	for _, in := range body {
 		fmt.Fprintf(&b, "\t\t\t\"%s\\n\\t\"\n", strings.ReplaceAll(RenderAsm(isaName, in), "%", "%%"))
 	}
-	clobbers := `"memory"`
-	if isaName != "ARMv8-A" {
-		clobbers = x86Clobbers(body)
-	}
-	fmt.Fprintf(&b, "\t\t: : \"r\"(base) : %s);\n", clobbers)
+	fmt.Fprintf(&b, "\t\t: : \"r\"(base) : %s);\n", clobbers(isaName, body))
 	b.WriteString("\t}\n")
 	b.WriteString("\tgettimeofday(&end, NULL);\n")
 	b.WriteString("\tdouble secs = (end.tv_sec - start.tv_sec) + (end.tv_usec - start.tv_usec) * 1e-6;\n")

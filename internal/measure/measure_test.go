@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -416,25 +417,65 @@ func TestEmitCX86(t *testing.T) {
 	}
 }
 
+// TestEmitCARM: the A64 program names x registers and reads memory
+// through the x28 base pointer. Its asm statement clobbers the flags,
+// memory and every register the body names, a d or s register by the v
+// register it aliases, but not the base pointer, which is an input.
 func TestEmitCARM(t *testing.T) {
 	proc := uarch.A72()
 	h, err := NewHarness(proc, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	add, ok := proc.ISA.FormByName("add_r64_r64_r64")
-	if !ok {
-		t.Fatal("add_r64_r64_r64 missing")
+	var e portmap.Experiment
+	for _, name := range []string{"add_r64_r64_r64", "ldr_roff_r64_m64", "cmp_r64_r64",
+		"add_v_v128_v128_v128", "fadd_f64_f64_f64", "fcmp_f32_f32"} {
+		f, ok := proc.ISA.FormByName(name)
+		if !ok {
+			t.Fatalf("%s missing", name)
+		}
+		e = append(e, portmap.InstCount{Inst: f.ID, Count: 1})
 	}
-	prog, err := h.EmitProgram(portmap.Experiment{{Inst: add.ID, Count: 1}})
+	prog, err := h.EmitProgram(e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(prog, "add x") {
 		t.Errorf("ARM program should use xN registers:\n%s", prog)
 	}
-	if !strings.Contains(prog, "x28") {
+	if !strings.Contains(prog, "[x28, #") {
 		t.Errorf("ARM program should use the x28 base pointer:\n%s", prog)
+	}
+	_, asm, _ := strings.Cut(prog, "__asm__ volatile(")
+	body, list, ok := strings.Cut(asm, `: : "r"(base) : `)
+	if !ok {
+		t.Fatalf("no clobber list:\n%s", prog)
+	}
+	list, _, _ = strings.Cut(list, ");")
+	clobbered := map[string]bool{}
+	for _, c := range strings.Split(list, ", ") {
+		clobbered[strings.Trim(c, `"`)] = true
+	}
+	regs := regexp.MustCompile(`\b([xvds])(\d+)\b`).FindAllStringSubmatch(body, -1)
+	if len(regs) == 0 {
+		t.Fatalf("body names no registers:\n%s", body)
+	}
+	for _, r := range regs {
+		name := r[0]
+		if r[1] == "d" || r[1] == "s" {
+			name = "v" + r[2]
+		}
+		if name != "x28" && !clobbered[name] {
+			t.Errorf("body names %s, but %s is not clobbered: %s", r[0], name, list)
+		}
+	}
+	for _, want := range []string{"cc", "memory"} {
+		if !clobbered[want] {
+			t.Errorf("%q is not clobbered: %s", want, list)
+		}
+	}
+	if clobbered["x28"] {
+		t.Errorf("the x28 base pointer is clobbered: %s", list)
 	}
 }
 
