@@ -234,17 +234,26 @@ func BenchmarkBottleneckUnion(b *testing.B) {
 	}
 }
 
-// BenchmarkBottleneckTables measures the fitness service's table kernel
-// on its dominant input, the §4.1 pair experiments, at the port counts
-// of A72, SKL and ZEN (7, 9, 10). Tables are built outside the timed
+// BenchmarkBottleneckTables measures the fitness service's table
+// kernels at the port counts of A72, SKL and ZEN (7, 9, 10): Pairs times
+// BottleneckPair on the service's dominant input, the §4.1 pair
+// experiments, and Triples times BottleneckTables on the ablation's
+// balanced three-form experiments. Tables are built outside the timed
 // loop, as the engine caches them per decomposition.
 func BenchmarkBottleneckTables(b *testing.B) {
 	for _, ports := range []int{7, 9, 10} {
-		work := pairTableWorkload(ports)
+		pairs, triples := tableWorkload(ports)
 		b.Run(benchName("Pairs", ports), func(b *testing.B) {
 			var ev throughput.Evaluator
 			for i := 0; b.Loop(); i++ {
-				ev.BottleneckTables(work[i%len(work)], ports)
+				p := pairs[i%len(pairs)]
+				ev.BottleneckPair(p[0].Unit, p[0].Scale, p[1].Unit, p[1].Scale, ports)
+			}
+		})
+		b.Run(benchName("Triples", ports), func(b *testing.B) {
+			var ev throughput.Evaluator
+			for i := 0; b.Loop(); i++ {
+				ev.BottleneckTables(triples[i%len(triples)], ports)
 			}
 		})
 	}
@@ -307,12 +316,13 @@ func fitnessDecomps(ports int) [][]portmap.UopCount {
 	return work
 }
 
-// pairTableWorkload returns the pair and weighted-pair experiments that
+// tableWorkload returns the pair and weighted-pair experiments that
 // exp.PairExperiments derives from a hidden mapping's individual
-// throughputs, as table parts over a bloated candidate mapping: every
-// instruction carries |P| distinct µops, the paper's initialization
-// bound (MaxUops = |P|) at its maximum.
-func pairTableWorkload(ports int) [][]throughput.TablePart {
+// throughputs, and 64 balanced triples from exp.TripleExperiments, as
+// table parts over a bloated candidate mapping: every instruction
+// carries |P| distinct µops, the paper's initialization bound
+// (MaxUops = |P|) at its maximum.
+func tableWorkload(ports int) (pairs, triples [][]throughput.TablePart) {
 	const numInsts = 24
 	rng := rand.New(rand.NewSource(int64(ports)))
 	hint := make([]float64, numInsts)
@@ -333,15 +343,17 @@ func pairTableWorkload(ports int) [][]throughput.TablePart {
 		}
 		throughput.BuildUnitTable(&tables[i], cand.Decomp[i], ports)
 	}
-	var work [][]throughput.TablePart
-	for _, e := range exp.PairExperiments(individual) {
-		parts := make([]throughput.TablePart, len(e))
-		for j, t := range e {
-			parts[j] = throughput.TablePart{Unit: &tables[t.Inst], Scale: float64(t.Count)}
+	asParts := func(es []portmap.Experiment) [][]throughput.TablePart {
+		work := make([][]throughput.TablePart, len(es))
+		for i, e := range es {
+			work[i] = make([]throughput.TablePart, len(e))
+			for j, t := range e {
+				work[i][j] = throughput.TablePart{Unit: &tables[t.Inst], Scale: float64(t.Count)}
+			}
 		}
-		work = append(work, parts)
+		return work
 	}
-	return work
+	return asParts(exp.PairExperiments(individual)), asParts(exp.TripleExperiments(rng, individual, 64, true))
 }
 
 // --- Cached + incremental fitness evaluation --------------------------

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"pmevo/internal/exp"
 	"pmevo/internal/portmap"
 	"pmevo/internal/throughput"
 )
@@ -19,10 +20,21 @@ var twinPorts = []int{4, throughput.MaxUnitTablePorts, throughput.MaxUnitTablePo
 
 // newOracleTwins builds two services over the same measured set: the
 // fast path and its oracle twin, which predicts every experiment through
-// the generic Predictor interface with Default() (ThroughputOf).
+// the generic Predictor interface with Default() (ThroughputOf). The set
+// mixes every shape the fast path routes: the §4.1 singletons, which
+// BottleneckTables predicts, and pairs and weighted pairs, which
+// BottleneckPair predicts, plus one triple and one pair with a
+// zero-count term, which stay on BottleneckTables. numInsts must be at
+// least 5.
 func newOracleTwins(t *testing.T, rng *rand.Rand, numInsts, numPorts int) (fast, twin *Service) {
 	t.Helper()
-	_, set := measuredSet(t, rng, numInsts, numPorts)
+	hidden, set := measuredSet(t, rng, numInsts, numPorts)
+	for _, e := range []portmap.Experiment{
+		{{Inst: 0, Count: 1}, {Inst: 1, Count: 2}, {Inst: 2, Count: 1}},
+		{{Inst: 3, Count: 2}, {Inst: 4, Count: 0}},
+	} {
+		set.Measurements = append(set.Measurements, exp.Measurement{Exp: e, Throughput: throughput.OfExperiment(hidden, e)})
+	}
 	fast, err := NewService(set, ServiceOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -40,16 +52,27 @@ func sameFitness(a, b Fitness) bool {
 }
 
 // TestMemoizedDavgBitIdentical is the central fast-path property: every
-// entry point — Evaluate, EvaluateAll and NewState — predicts through
-// per-scratch unit tables memoized by decomposition fingerprint (or,
-// above throughput.MaxUnitTablePorts, ThroughputOf), and must return a
-// Davg bit-identical to the ThroughputOf oracle twin. The batch holds
+// entry point — Evaluate, EvaluateAll, NewState and EvaluateDelta —
+// predicts through per-scratch unit tables memoized by decomposition
+// fingerprint (or, above throughput.MaxUnitTablePorts, ThroughputOf),
+// and must return a Davg bit-identical to the ThroughputOf oracle twin
+// on a set that sends experiments to both table kernels. The batch holds
 // clones and repeats, which reuse cached tables. It also pins the
-// kernel-call counter: one call per fast-path experiment.
+// kernel-call counter: one call per fast-path experiment predicted,
+// whichever kernel predicts it.
 func TestMemoizedDavgBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for _, k := range twinPorts {
 		fast, twin := newOracleTwins(t, rng, 10, k)
+		pairs := 0
+		for _, p := range fast.pair {
+			if p {
+				pairs++
+			}
+		}
+		if pairs == 0 || pairs == len(fast.pair) {
+			t.Fatalf("k=%d: %d of %d experiments are pairs; the set must exercise both kernels", k, pairs, len(fast.pair))
+		}
 		var ms []*portmap.Mapping
 		for i := 0; i < 8; i++ {
 			m := portmap.Random(rng, portmap.RandomOptions{NumInsts: 10, NumPorts: k, MaxUops: 3})
@@ -103,6 +126,34 @@ func TestMemoizedDavgBitIdentical(t *testing.T) {
 		}
 		if ts := twin.Stats(); ts.MemoMisses != 0 {
 			t.Errorf("k=%d: generic path counted %d kernel calls", k, ts.MemoMisses)
+		}
+
+		// One committed delta probe per instruction, each re-predicting
+		// the experiments that name it.
+		m := ms[0].Clone()
+		state, err := fast.NewState(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := fast.Stats().MemoMisses
+		for inst := range m.Decomp {
+			m.SetUopCount(inst, 0, m.Decomp[inst][0].Count+1)
+			got, err := fast.EvaluateDelta(state, inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := twin.Evaluate(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameFitness(got, want) {
+				t.Fatalf("k=%d EvaluateDelta on instruction %d: fast %+v != oracle %+v", k, inst, got, want)
+			}
+			state.Commit()
+			calls += int64(fast.ExperimentsWith(inst))
+		}
+		if got := fast.Stats().MemoMisses; got != calls {
+			t.Errorf("k=%d: kernel calls after the delta probes = %d, want %d", k, got, calls)
 		}
 	}
 }

@@ -47,10 +47,11 @@ type CacheStats struct {
 	// because perfbench reads it.
 	MemoHits int64
 	// MemoMisses counts fast-path kernel calls: each count is one
-	// throughput.BottleneckTables call (a ThroughputOf call above
-	// throughput.MaxUnitTablePorts), that is, one experiment predicted
-	// on the fast path. The generic Predictor path is not counted.
-	// perfbench reads it as its kernel-call count.
+	// experiment predicted on the fast path, whichever kernel predicts
+	// it (throughput.BottleneckPair for pairs, BottleneckTables for the
+	// other shapes, ThroughputOf above throughput.MaxUnitTablePorts).
+	// The generic Predictor path is not counted. perfbench reads it as
+	// its kernel-call count.
 	MemoMisses int64
 	// DeltaExperimentsSkipped counts experiments EvaluateDelta did not
 	// have to re-predict because the changed instruction does not occur
@@ -74,9 +75,10 @@ type CacheStats struct {
 // pool whose workers each take reusable evaluator state from the
 // Service's free list, so the per-candidate hot loop allocates nothing.
 //
-// On the fast path every experiment costs one bottleneck kernel call.
-// The unit-table cache each scratch carries (see evalScratch) is the
-// only cache.
+// On the fast path every experiment costs one bottleneck kernel call:
+// BottleneckPair for the §4.1 pairs, which are nearly all of a measured
+// set, and BottleneckTables for every other shape. The unit-table cache
+// each scratch carries (see evalScratch) is the only cache.
 // The incremental NewState/EvaluateDelta API skips whole predictions:
 // re-evaluating after a single-instruction change only re-predicts the
 // experiments that contain the changed instruction, turning a
@@ -100,10 +102,13 @@ type Service struct {
 	pred     Predictor // nil: bottleneck fast path
 
 	// Pre-flattened experiment set: experiment i is
-	// terms[offs[i]:offs[i+1]] with measured throughput meas[i].
+	// terms[offs[i]:offs[i+1]] with measured throughput meas[i]. pair[i]
+	// records its shape: two terms with positive counts, a §4.1 pair,
+	// which the fast path predicts with throughput.BottleneckPair.
 	terms []portmap.InstCount
 	offs  []int32
 	meas  []float64
+	pair  []bool
 
 	// instExps is the inverted index: instExps[i] lists (sorted,
 	// deduplicated) the experiments whose multiset contains instruction
@@ -123,23 +128,24 @@ type Service struct {
 // evaluator plus per-instruction subset-sum unit tables with their
 // per-cardinality maxima, keyed by decomposition fingerprint, so a table
 // is (re)built only when an instruction's decomposition actually differs
-// from the one this scratch last saw. One goroutine at a time holds a
-// scratch, from taking it off the Service's free list until it returns
-// it, or for a FitnessState's lifetime. A full evaluation checks every
-// table once per candidate and then reads the tables directly, so a
-// table built for a candidate serves every experiment naming its
-// instruction. Across the candidates of a batch the check almost never
-// hits: recombination makes nearly every child decomposition new. The
-// tables pay off on the delta path, where a probe changes one
-// instruction and every other table stays; it checks the tables of
-// every experiment it re-predicts (see predictOne).
+// from the one this scratch last saw. Every experiment predicted from
+// the tables is one kernel call, BottleneckPair or BottleneckTables.
+// One goroutine at a time holds a scratch, from taking it off the
+// Service's free list until it returns it, or for a FitnessState's
+// lifetime. A full evaluation checks every table once per candidate and
+// then reads the tables directly, so a table built for a candidate
+// serves every experiment naming its instruction. Across the candidates
+// of a batch the check almost never hits: recombination makes nearly
+// every child decomposition new. The tables pay off on the delta path,
+// where a probe changes one instruction and every other table stays; it
+// checks the tables of every experiment it re-predicts (see predictOne).
 type evalScratch struct {
 	ev throughput.Evaluator
 
 	k      int      // port count the tables are built for
 	tblFp  []uint64 // fingerprint each table was built from (0: none)
 	tables []throughput.UnitTable
-	tparts []throughput.TablePart
+	tparts []throughput.TablePart // BottleneckTables' parts (not pairs)
 }
 
 // ensure sizes the scratch for the instruction count and invalidates the
@@ -183,6 +189,7 @@ func NewService(set *exp.Set, opts ServiceOptions) (*Service, error) {
 		pred:     opts.Predictor,
 		offs:     make([]int32, 1, len(set.Measurements)+1),
 		meas:     make([]float64, 0, len(set.Measurements)),
+		pair:     make([]bool, 0, len(set.Measurements)),
 		instExps: make([][]int32, set.NumInsts),
 	}
 	for i, m := range set.Measurements {
@@ -202,6 +209,7 @@ func NewService(set *exp.Set, opts ServiceOptions) (*Service, error) {
 		s.terms = append(s.terms, m.Exp...)
 		s.offs = append(s.offs, int32(len(s.terms)))
 		s.meas = append(s.meas, m.Throughput)
+		s.pair = append(s.pair, len(m.Exp) == 2 && m.Exp[0].Count > 0 && m.Exp[1].Count > 0)
 	}
 
 	// Inverted index: experiments are visited in order, so each list is
@@ -269,10 +277,10 @@ func (s *Service) checkCandidates(ms []*portmap.Mapping, out []Fitness) error {
 	return nil
 }
 
-// predictOne predicts experiment i under m on the fast path: one
-// BottleneckTables call over the per-instruction subset-sum tables in
-// sc or, for port universes wider than throughput.MaxUnitTablePorts, one
-// ThroughputOf call. sc must have been ensured for m. The table route is
+// predictOne predicts experiment i under m on the fast path with one
+// kernel call: predictTables over the per-instruction subset-sum tables
+// in sc or, for port universes wider than throughput.MaxUnitTablePorts,
+// ThroughputOf. sc must have been ensured for m. The table route is
 // bit-identical to ThroughputOf.
 //
 // predictOne checks the fingerprint of every table it reads, which the
@@ -289,22 +297,29 @@ func (s *Service) predictOne(sc *evalScratch, m *portmap.Mapping, i int) float64
 	return s.predictTables(sc, m.NumPorts, i)
 }
 
-// predictTables predicts experiment i with one BottleneckTables call
-// over sc's unit tables at k ports, which must be current for every
-// instruction the experiment references.
+// predictTables predicts experiment i with one kernel call over sc's
+// unit tables at k ports, which must be current for every instruction
+// the experiment references: a pair (see Service.pair) goes to
+// BottleneckPair, any other shape (singletons, triples, zero-count
+// terms) to BottleneckTables. Both return the float ThroughputOf does.
 func (s *Service) predictTables(sc *evalScratch, k, i int) float64 {
+	e := s.experiment(i)
+	if s.pair[i] {
+		return sc.ev.BottleneckPair(&sc.tables[e[0].Inst], float64(e[0].Count), &sc.tables[e[1].Inst], float64(e[1].Count), k)
+	}
 	sc.tparts = sc.tparts[:0]
-	for _, t := range s.experiment(i) {
+	for _, t := range e {
 		sc.tparts = append(sc.tparts, throughput.TablePart{Unit: &sc.tables[t.Inst], Scale: float64(t.Count)})
 	}
 	return sc.ev.BottleneckTables(sc.tparts, k)
 }
 
-// davgFast computes Davg(m) on the fast path, optionally capturing the
-// per-experiment predictions into preds (len(preds) == NumExperiments).
-// On the table route it brings every referenced instruction's table up
-// to date first, one fingerprint check each, so the experiment loop
-// reads the tables unchecked.
+// davgFast computes Davg(m) on the fast path with one kernel call per
+// experiment, optionally capturing the per-experiment predictions into
+// preds (len(preds) == NumExperiments). On the table route it brings
+// every referenced instruction's table up to date first, one
+// fingerprint check each, so the experiment loop reads the tables
+// unchecked through predictTables, the same routine predictOne uses.
 func (s *Service) davgFast(sc *evalScratch, m *portmap.Mapping, preds []float64) float64 {
 	sc.ensure(s.numInsts, m.NumPorts)
 	tables := m.NumPorts <= throughput.MaxUnitTablePorts

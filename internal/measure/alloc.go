@@ -13,7 +13,6 @@
 package measure
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -331,7 +330,7 @@ func (a *loopArena) build(h *Harness, e portmap.Experiment) ([]machine.Inst, int
 	if err := checkCounts(e); err != nil {
 		return nil, 0, err
 	}
-	a.normalize(e)
+	a.terms = e.AppendNormalized(a.terms[:0])
 	if len(a.terms) == 0 {
 		return nil, 0, errEmptyExperiment
 	}
@@ -361,27 +360,6 @@ func (a *loopArena) build(h *Harness, e portmap.Experiment) ([]machine.Inst, int
 		}
 	}
 	return a.body, instances, nil
-}
-
-// normalize stores e.Normalize() in a.terms: terms merged by
-// instruction, zero counts dropped, sorted by instruction. The counts
-// are non-negative (checkCounts), so a merged count is zero only when
-// every merged term is.
-func (a *loopArena) normalize(e portmap.Experiment) {
-	a.terms = append(a.terms[:0], e...)
-	slices.SortFunc(a.terms, func(x, y portmap.InstCount) int { return cmp.Compare(x.Inst, y.Inst) })
-	w := 0
-	for r := 0; r < len(a.terms); {
-		t := a.terms[r]
-		for r++; r < len(a.terms) && a.terms[r].Inst == t.Inst; r++ {
-			t.Count += a.terms[r].Count
-		}
-		if t.Count != 0 {
-			a.terms[w] = t
-			w++
-		}
-	}
-	a.terms = a.terms[:w]
 }
 
 // lower instantiates f as the body's next instruction and appends its

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -46,30 +47,49 @@ func (e Experiment) Clone() Experiment {
 // Normalize returns an equivalent experiment with terms merged by
 // instruction, zero-count terms dropped, and terms sorted by instruction
 // index. Normalize is used to produce canonical keys for experiment sets.
+// The result is never nil, even for an empty experiment.
 func (e Experiment) Normalize() Experiment {
-	counts := make(map[int]int, len(e))
-	for _, t := range e {
-		counts[t.Inst] += t.Count
-	}
-	out := make(Experiment, 0, len(counts))
-	for inst, c := range counts {
-		if c != 0 {
-			out = append(out, InstCount{Inst: inst, Count: c})
+	return e.AppendNormalized(make(Experiment, 0, len(e)))
+}
+
+// AppendNormalized appends the terms of e.Normalize() to dst and returns
+// the extended slice. It allocates nothing when dst has room for every
+// term of e.
+func (e Experiment) AppendNormalized(dst Experiment) Experiment {
+	start := len(dst)
+	dst = append(dst, e...)
+	terms := dst[start:]
+	slices.SortFunc(terms, func(x, y InstCount) int { return cmp.Compare(x.Inst, y.Inst) })
+	w := 0
+	for r := 0; r < len(terms); {
+		t := terms[r]
+		for r++; r < len(terms) && terms[r].Inst == t.Inst; r++ {
+			t.Count += terms[r].Count
+		}
+		if t.Count != 0 {
+			terms[w] = t
+			w++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Inst < out[j].Inst })
-	return out
+	return dst[:start+w]
 }
 
 // Key returns a canonical string key for the experiment multiset,
-// independent of term order.
+// independent of term order: "inst:count" for each term of e.Normalize(),
+// joined by commas. Short experiments allocate only the string.
 func (e Experiment) Key() string {
-	n := e.Normalize()
-	parts := make([]string, len(n))
-	for i, t := range n {
-		parts[i] = fmt.Sprintf("%d:%d", t.Inst, t.Count)
+	var terms [8]InstCount
+	var buf [64]byte
+	b := buf[:0]
+	for i, t := range e.AppendNormalized(terms[:0]) {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(t.Inst), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(t.Count), 10)
 	}
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
 // MassTerm is a µop mass in the two-level model: Mass units of work that

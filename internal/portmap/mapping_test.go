@@ -2,9 +2,11 @@ package portmap
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -214,6 +216,83 @@ func TestExperimentNormalize(t *testing.T) {
 	}
 	if e.Key() != n.Key() {
 		t.Error("Key should be order-independent")
+	}
+}
+
+// mapNormalize and mapKey are the reference forms of Normalize and Key:
+// a map merge, a sort.Slice and fmt.Sprintf. The allocation-free
+// sort-and-merge forms must return the same values.
+func mapNormalize(e Experiment) Experiment {
+	counts := make(map[int]int, len(e))
+	for _, t := range e {
+		counts[t.Inst] += t.Count
+	}
+	out := make(Experiment, 0, len(counts))
+	for inst, c := range counts {
+		if c != 0 {
+			out = append(out, InstCount{Inst: inst, Count: c})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Inst < out[j].Inst })
+	return out
+}
+
+func mapKey(e Experiment) string {
+	n := mapNormalize(e)
+	parts := make([]string, len(n))
+	for i, t := range n {
+		parts[i] = fmt.Sprintf("%d:%d", t.Inst, t.Count)
+	}
+	return strings.Join(parts, ",")
+}
+
+// TestNormalizeMatchesMapMerge pins Normalize, AppendNormalized and Key
+// to the map-merge reference on repeated instructions, zero and
+// negative counts (merged sums of zero are dropped, negative ones kept),
+// counts that wrap, nil and empty input (a non-nil empty experiment and
+// key ""), and random experiments of up to 12 terms. AppendNormalized
+// must leave dst's prefix alone and allocate nothing when dst has room.
+func TestNormalizeMatchesMapMerge(t *testing.T) {
+	cases := []Experiment{
+		nil,
+		{},
+		{{Inst: 4, Count: 0}},
+		{{Inst: 2, Count: 1}, {Inst: 2, Count: 3}, {Inst: 2, Count: 2}},
+		{{Inst: 3, Count: 1}, {Inst: 1, Count: 2}, {Inst: 3, Count: 2}, {Inst: 5, Count: 0}},
+		{{Inst: 7, Count: -2}, {Inst: 1, Count: 4}, {Inst: 7, Count: 2}, {Inst: 0, Count: -1}},
+		{{Inst: 9, Count: 3}, {Inst: -1, Count: 1}, {Inst: 9, Count: -3}, {Inst: -1, Count: 0}},
+		{{Inst: 1, Count: math.MaxInt}, {Inst: 1, Count: 1}, {Inst: 0, Count: math.MinInt}},
+		{{Inst: 12345678, Count: 98765}, {Inst: 3, Count: 1}},
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 300; i++ {
+		e := make(Experiment, rng.Intn(13))
+		for j := range e {
+			e[j] = InstCount{Inst: rng.Intn(6), Count: rng.Intn(7) - 2}
+		}
+		cases = append(cases, e)
+	}
+	for _, e := range cases {
+		orig := e.Clone()
+		want, got := mapNormalize(e), e.Normalize()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: Normalize = %#v, map merge %#v", e, got, want)
+		}
+		if k, want := e.Key(), mapKey(e); k != want {
+			t.Fatalf("%v: Key = %q, map merge %q", e, k, want)
+		}
+		prefix := Experiment{{Inst: -5, Count: 5}}
+		dst := append(make(Experiment, 0, len(prefix)+len(e)), prefix...)
+		var app Experiment
+		if allocs := testing.AllocsPerRun(1, func() { app = e.AppendNormalized(dst) }); allocs != 0 {
+			t.Fatalf("%v: AppendNormalized allocated %v times with room in dst", e, allocs)
+		}
+		if !reflect.DeepEqual(app[:1], prefix) || !reflect.DeepEqual(app[1:], want) {
+			t.Fatalf("%v: AppendNormalized = %v, want %v then %v", e, app, prefix, want)
+		}
+		if !slices.Equal(e, orig) {
+			t.Fatalf("normalizing changed its input: %v, was %v", e, orig)
+		}
 	}
 }
 

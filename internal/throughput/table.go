@@ -52,6 +52,18 @@ import (
 // seed and the result is S[U]/|U|. Most multi-part calls of an
 // inference run end here, at n−1 multiplications and compares.
 //
+// BottleneckPair is the same kernel written for exactly two parts, the
+// shape of nearly every §4.1 experiment: the seed test reads the two
+// tables' maxima directly, with no part slice or loop over parts, and a
+// class visit scans the two tables with a branch-free max over the sums'
+// bit patterns. It returns the same float as BottleneckTables because it
+// forms the same products and sums them in the same order: the generic
+// kernel's running sums start at 0, and 0 + x is exact. A part with zero
+// scale, which BottleneckTables leaves out, adds exact zeros to every
+// sum, and a scan of a class that BottleneckTables would take at its
+// single live part's bound finds that bound, since the maximum of scaled
+// integer sums is the scaled maximum.
+//
 // Bit-exactness: experiment counts and µop counts are non-negative
 // integers, so every table entry, scaled sum, and bound is exact
 // integer arithmetic in float64 under any association while it stays
@@ -239,6 +251,71 @@ func (ev *Evaluator) BottleneckTables(parts []TablePart, k int) float64 {
 			top = classMax(live, idx.class(c)) / float64(c)
 		}
 		if top > best {
+			best = top
+		}
+	}
+}
+
+// BottleneckPair is BottleneckTables for the two parts (a, sa) and
+// (b, sb), written without a part slice or a loop over parts: the same
+// seed test over both tables' maxima, then class visits that scan the
+// two tables with a branch-free max. It returns the same float as
+// BottleneckTables on those parts, and so as ThroughputOf, under the
+// same preconditions; a zero scale leaves its part out, as there.
+func (ev *Evaluator) BottleneckPair(a *UnitTable, sa float64, b *UnitTable, sb float64, k int) float64 {
+	var used portmap.PortSet
+	if sa != 0 {
+		if a.Inf {
+			return math.Inf(1)
+		}
+		used = a.Used
+	}
+	if sb != 0 {
+		if b.Inf {
+			return math.Inf(1)
+		}
+		used |= b.Used
+	}
+	n := used.Count()
+	if n == 0 {
+		return 0
+	}
+	total := sa*a.Max[k] + sb*b.Max[k]
+	for c := 1; c < n; c++ {
+		if (sa*a.Max[c]+sb*b.Max[c])*float64(n) > total*float64(c) {
+			return pairSearch(a, sa, b, sb, k, n, total/float64(n))
+		}
+	}
+	return total / float64(n)
+}
+
+// pairSearch is BottleneckPair's class search over the n−1 classes
+// below the used union, starting from the seed ratio best.
+func pairSearch(a *UnitTable, sa float64, b *UnitTable, sb float64, k, n int, best float64) float64 {
+	var bound [MaxUnitTablePorts + 1]float64
+	for c := 1; c < n; c++ {
+		bound[c] = (sa*a.Max[c] + sb*b.Max[c]) / float64(c)
+	}
+	idx := &subsetIndex[k]
+	as, bs := a.Sums, b.Sums
+	for {
+		c, top := 0, best
+		for j := 1; j < n; j++ {
+			if bound[j] > top {
+				c, top = j, bound[j]
+			}
+		}
+		if c == 0 {
+			return best
+		}
+		bound[c] = 0
+		// The sums are non-negative, so their bit patterns order as
+		// they do (see buildUnitTable).
+		var m uint64
+		for _, q := range idx.class(c) {
+			m = max(m, math.Float64bits(sa*as[q]+sb*bs[q]))
+		}
+		if top = math.Float64frombits(m) / float64(c); top > best {
 			best = top
 		}
 	}

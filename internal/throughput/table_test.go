@@ -23,7 +23,8 @@ func unitTables(dst []UnitTable, m *portmap.Mapping, k int) []UnitTable {
 }
 
 // checkTables asserts that BottleneckTables over e's parts is bit for
-// bit ThroughputOf and BottleneckNaive on the same experiment, and
+// bit ThroughputOf and BottleneckNaive on the same experiment, and, when
+// e has exactly two parts, that BottleneckPair on them is too. It
 // returns that throughput.
 func checkTables(t *testing.T, ev *Evaluator, tables []UnitTable, m *portmap.Mapping, e portmap.Experiment, k int) float64 {
 	t.Helper()
@@ -38,6 +39,12 @@ func checkTables(t *testing.T, ev *Evaluator, tables []UnitTable, m *portmap.Map
 	if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(naive) != math.Float64bits(want) {
 		t.Fatalf("k=%d exp %v: BottleneckTables %v, ThroughputOf %v, BottleneckNaive %v\nmapping:\n%s",
 			k, e, got, want, naive, m)
+	}
+	if len(parts) == 2 {
+		a, b := parts[0], parts[1]
+		if pair := ev.BottleneckPair(a.Unit, a.Scale, b.Unit, b.Scale, k); math.Float64bits(pair) != math.Float64bits(got) {
+			t.Fatalf("k=%d exp %v: BottleneckPair %v, BottleneckTables %v\nmapping:\n%s", k, e, pair, got, m)
+		}
 	}
 	return got
 }
@@ -89,7 +96,8 @@ func throughputHints(rng *rand.Rand, n int) []float64 {
 // TestBottleneckTablesDifferential pins the bound-and-prune kernel bit
 // for bit against ThroughputOf and BottleneckNaive at the port counts of
 // the paper's machines and beyond (k = 7, 9, 10, 11), on the inputs the
-// fitness service feeds it and on the edges of its contract.
+// fitness service feeds it and on the edges of its contract; every
+// two-part case also pins BottleneckPair.
 func TestBottleneckTablesDifferential(t *testing.T) {
 	const numInsts = 10
 	for _, k := range []int{7, 9, 10, 11} {
@@ -300,8 +308,10 @@ func TestBuildUnitTablePanicsAboveLimit(t *testing.T) {
 // FuzzBottleneckTables differentially fuzzes the kernel against
 // ThroughputOf and BottleneckNaive, bit for bit, and against the LP
 // engine within 1e-9 relative error where the throughput is finite and
-// positive. The input decodes into a mapping over k = 1 + kSel%11 ports
-// with one instruction per part: each part is a scale byte (mod 8, so
+// positive; on every input of exactly two parts, BottleneckPair must
+// return BottleneckTables' bits (see checkTables). The input decodes
+// into a mapping over k = 1 + kSel%11 ports with one instruction per
+// part: each part is a scale byte (mod 8, so
 // zero scales occur), a µop-count byte (mod 2k+2, so k+1 single-port
 // µops, enough to make BuildUnitTable fall back to the zeta transform,
 // fit), and per µop two port-mask bytes (cut to k ports, so empty sets
